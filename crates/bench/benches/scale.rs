@@ -198,6 +198,15 @@ fn main() {
             counters.saturations_run,
             criteria.len()
         );
+        // Batches answer each distinct criterion once, so even a solver
+        // that saturated per criterion could not exceed the site count.
+        assert!(
+            counters.saturations_run <= counters.distinct_sites,
+            "{}: {} saturations for {} distinct sites",
+            tier.name,
+            counters.saturations_run,
+            counters.distinct_sites
+        );
         let baseline = format!("{:?}", batch.slices);
 
         // Allocation accounting: one warm sequential batch under the

@@ -262,12 +262,16 @@ pub struct PipelineStats {
     /// queries, `Poststar` for forward ones; the field name keeps the
     /// historical spelling for serialization stability).
     pub prestar_transitions: usize,
-    /// Peak bytes retained during saturation (Fig. 22 accounting).
+    /// Peak bytes retained during saturation (Fig. 22 accounting). A work
+    /// field: `0` on memo hits and fanned-out batch duplicates, which ran
+    /// no saturation.
     pub prestar_peak_bytes: usize,
     /// Saturation-rule firings — a deterministic work measure (independent
-    /// of machine, thread count, and worklist order).
+    /// of machine, thread count, and worklist order). `0` on memo hits and
+    /// fanned-out batch duplicates.
     pub prestar_rule_applications: usize,
     /// Peak saturation worklist depth (deterministic for a given build).
+    /// `0` on memo hits and fanned-out batch duplicates.
     pub prestar_peak_worklist: usize,
     /// States of the trimmed `A1`.
     pub a1_states: usize,
@@ -280,8 +284,9 @@ pub struct PipelineStats {
     /// solver one member of each criterion group carries its group's shared
     /// saturation and the rest report `0`, so a batch aggregate counts
     /// *distinct* saturations run — the number the one-pass solver exists
-    /// to shrink. Memo hits replay the stats recorded when the entry was
-    /// computed.
+    /// to shrink. Memo hits and fanned-out batch duplicates report `0`;
+    /// they keep the answer-size fields (`prestar_transitions`, `a1_*`,
+    /// `mrd`) recorded when the answer was computed.
     pub saturations_run: usize,
     /// Criteria answered by this query's saturation (its criterion-group
     /// width; `1` under the per-criterion solver, `0` on non-carrying group

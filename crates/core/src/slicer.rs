@@ -41,6 +41,7 @@ use specslice_pds::{
 };
 use specslice_sdg::build::build_sdg;
 use specslice_sdg::{CallSiteId, CalleeKind, Sdg, VertexId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -129,15 +130,20 @@ pub struct SlicerConfig {
     /// bit-for-bit identical at every setting — the knob only trades
     /// wall-clock for cores.
     pub num_threads: usize,
-    /// Memoize criterion → slice results (on by default). Repeated criteria
-    /// — within one batch, across batches, or across
-    /// [`Slicer::apply_edit`]s — are answered from the cache without
-    /// re-running `Prestar` *or* the read-out: the memo keeps the canonical
-    /// MRD automaton plus the slice's interned [`VariantId`] rows, so a hit
-    /// only clones ids and metadata. After an edit, entries whose slice
-    /// region the edit cannot have touched are kept (identifier-remapped
-    /// and re-interned into the fresh store), so an edit-reslice loop only
-    /// recomputes the criteria the edit affected.
+    /// Memoize criterion → slice results across calls (on by default). A
+    /// criterion repeated in a later call — another query, another batch,
+    /// or a re-slice after [`Slicer::apply_edit`] — is answered from the
+    /// cache without re-running `Prestar` *or* the read-out: the memo keeps
+    /// the canonical MRD automaton plus the slice's interned [`VariantId`]
+    /// rows, so a hit only clones ids and metadata. After an edit, entries
+    /// whose slice region the edit cannot have touched are kept
+    /// (identifier-remapped and re-interned into the fresh store), so an
+    /// edit-reslice loop only recomputes the criteria the edit affected.
+    ///
+    /// Repeats *within* one batch do not depend on this knob: every batch
+    /// entry point answers each distinct criterion once and fans the answer
+    /// out to its duplicates, memo or no memo. With the memo on, a
+    /// fanned-out duplicate is counted as a memo hit.
     pub memoize: bool,
     /// Multi-criterion solving strategy (see [`Solver`]). Defaults to
     /// [`Solver::OnePass`], overridable for sweeps via the
@@ -171,8 +177,10 @@ pub struct BatchResult {
     /// sums of per-query sizes, shared-encoding sizes kept once).
     pub aggregate: PipelineStats,
     /// Per-worker-thread execution accounting for this batch: how many
-    /// criteria each worker answered, how many it stole, and how long it
-    /// was busy. One entry per worker that ran (a sequential batch has one).
+    /// distinct criteria each worker answered (duplicates fanned out at the
+    /// batch entry are not worker items), how many it stole, and how long
+    /// it was busy. One entry per worker that ran (a sequential batch has
+    /// one).
     pub per_thread: Vec<WorkerStats>,
 }
 
@@ -571,7 +579,7 @@ impl Slicer {
 
     /// Criteria currently memoized.
     pub fn memo_len(&self) -> usize {
-        self.memo.read().map(|m| m.len()).unwrap_or(0)
+        self.memo.read().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// The cached `post*({⟨entry_main, ε⟩})` automaton.
@@ -601,28 +609,9 @@ impl Slicer {
     /// `start` is when the caller began handling this criterion (the hit's
     /// `query_time`).
     fn answer_from_memo(&self, key: &MemoKey, start: Instant) -> Option<Answer> {
-        let cached = self.memo.read().ok().and_then(|memo| {
-            memo.get(key)
-                .map(|e| (e.a6.clone(), e.cached.clone(), e.stats))
-        });
-        let (a6, cached, mut stats) = cached?;
+        let (slice, mut stats) = self.replay_from_memo(key)?;
         self.queries_run.fetch_add(1, Ordering::Relaxed);
-        self.memo_hits.fetch_add(1, Ordering::Relaxed);
-        let slice = SpecSlice::from_parts(
-            self.store.clone(),
-            cached.ids,
-            cached.metas,
-            cached.main_variant,
-            a6,
-            key.dir.into(),
-        );
         stats.query_time = start.elapsed();
-        // A replayed answer ran no saturation of its own; the recorded
-        // sizes describe the cached pipeline, but the run counters must
-        // reflect *this* query's work.
-        stats.saturations_run = 0;
-        stats.criteria_per_saturation = 0;
-        set_memo_counters(&mut stats, key.dir, true);
         Some(Answer {
             slice,
             stats,
@@ -683,49 +672,78 @@ impl Slicer {
     /// order for batches, which pins session-store ids (and counters) to
     /// the input sequence regardless of thread count.
     ///
-    /// A freshly computed answer whose key is *already* memoized — a
-    /// duplicate criterion inside one parallel batch, where workers cannot
-    /// see each other's in-flight results — is answered from the memo
-    /// instead of being re-interned, exactly as the sequential loop (which
-    /// installs entries as it goes) would have answered it. Without this,
-    /// the store's intern/dedup counters would depend on the thread count.
+    /// A freshly computed answer whose key is *already* memoized is
+    /// answered from the memo instead of being re-interned. Within one
+    /// batch this cannot happen (batches answer each distinct key once);
+    /// it serves concurrent callers on one session — the daemon's readers,
+    /// or clients sharing `&Slicer` across threads — that computed the same
+    /// criterion side by side. The caller that adopts second replays the
+    /// first one's entry, so the memo and the store see one install.
     fn adopt(&self, answer: Answer) -> (SpecSlice, PipelineStats) {
         if let (Some(k), false) = (&answer.key, answer.from_memo) {
-            let cached = self.memo.read().ok().and_then(|memo| {
-                memo.get(k)
-                    .map(|e| (e.a6.clone(), e.cached.clone(), e.stats))
-            });
-            if let Some((a6, cached, mut stats)) = cached {
-                self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                let slice = SpecSlice::from_parts(
-                    self.store.clone(),
-                    cached.ids,
-                    cached.metas,
-                    cached.main_variant,
-                    a6,
-                    k.dir.into(),
-                );
+            if let Some((slice, mut stats)) = self.replay_from_memo(k) {
                 stats.query_time = answer.stats.query_time;
-                // Adopting over an existing entry (a duplicate-key batch
-                // member) replays the cached answer: no saturation of its
-                // own to count.
-                stats.saturations_run = 0;
-                stats.criteria_per_saturation = 0;
-                set_memo_counters(&mut stats, k.dir, true);
                 return (slice, stats);
             }
         }
         let slice = answer.slice.reintern_into(&self.store);
         if let (Some(k), false) = (answer.key, answer.from_memo) {
-            if let Ok(mut memo) = self.memo.write() {
-                memo.entry(k).or_insert_with(|| MemoEntry {
+            self.memo
+                .write()
+                .unwrap_or_else(|e| e.into_inner())
+                .entry(k)
+                .or_insert_with(|| MemoEntry {
                     a6: slice.a6.clone(),
                     cached: CachedSlice::of(&slice),
                     stats: answer.stats,
                 });
-            }
         }
         (slice, answer.stats)
+    }
+
+    /// Rebuilds `key`'s memoized answer against the session store, counting
+    /// a memo hit; `None` when the key is not memoized. The stats are the
+    /// entry's with the work zeroed (see [`replayed`]) and `query_time`
+    /// left for the caller to set.
+    fn replay_from_memo(&self, key: &MemoKey) -> Option<(SpecSlice, PipelineStats)> {
+        let (a6, cached, stats) = {
+            let memo = self.memo.read().unwrap_or_else(|e| e.into_inner());
+            let e = memo.get(key)?;
+            (e.a6.clone(), e.cached.clone(), e.stats)
+        };
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        let slice = SpecSlice::from_parts(
+            self.store.clone(),
+            cached.ids,
+            cached.metas,
+            cached.main_variant,
+            a6,
+            key.dir.into(),
+        );
+        let mut stats = replayed(stats);
+        set_memo_counters(&mut stats, key.dir, true);
+        Some((slice, stats))
+    }
+
+    /// Fans one batch duplicate out from its representative's adopted
+    /// answer: a clone of the slice, counted as a query that did no work of
+    /// its own (and, with [`SlicerConfig::memoize`] on, as a memo hit —
+    /// exactly what a repeat in a later call would be).
+    fn duplicate(
+        &self,
+        dir: Direction,
+        answer: &(SpecSlice, PipelineStats),
+    ) -> (SpecSlice, PipelineStats) {
+        let start = Instant::now();
+        self.queries_run.fetch_add(1, Ordering::Relaxed);
+        let mut stats = replayed(answer.1);
+        if self.config.memoize {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            set_memo_counters(&mut stats, dir, true);
+        }
+        let slice = answer.0.clone();
+        stats.query_time = start.elapsed();
+        (slice, stats)
     }
 
     /// Computes the specialization slice for `criterion` (Alg. 1), reusing
@@ -891,7 +909,8 @@ impl Slicer {
     ///
     /// The memo is only *read* here (the batch adopts answers — and
     /// installs entries — afterwards, in input order), so group results are
-    /// independent of worker scheduling.
+    /// independent of worker scheduling. Members have pairwise distinct
+    /// memo keys: the batch entry deduplicated them before planning.
     fn answer_group(
         &self,
         dir: Direction,
@@ -1123,37 +1142,60 @@ impl Slicer {
     /// The direction-generic batch path behind
     /// [`slice_batch`](Slicer::slice_batch),
     /// [`forward_slice_batch`](Slicer::forward_slice_batch), and
-    /// `specialize_program_directed`.
+    /// `specialize_program_directed`. Only the first occurrence of each
+    /// distinct criterion is answered (see [`Distinct`]); its adopted answer
+    /// is then fanned out to every duplicate, in input order.
     pub(crate) fn directed_batch(
         &self,
         dir: Direction,
         criteria: &[Criterion],
     ) -> Result<BatchResult, SpecError> {
-        if self.config.num_threads.min(criteria.len()) <= 1 {
+        let distinct = Distinct::of(dir, criteria);
+        let unique = distinct.criteria(criteria);
+        let (answers, per_thread) = if self.config.num_threads.min(unique.len()) <= 1 {
             // Sequential fast path with genuine fail-fast: nothing after the
             // first failing criterion (per-criterion solver) or failing
             // criterion *group* (one-pass solver) runs. The parallel path
             // must answer everything already in flight, but converges on
             // the same lowest-indexed error, so the two paths are
             // indistinguishable to the caller (modulo counters on error).
-            return match self.config.solver {
-                Solver::PerCriterion => self.slice_batch_sequential(dir, criteria),
-                Solver::OnePass => self.slice_batch_sequential_onepass(dir, criteria),
+            // The lowest-indexed failure is always a first occurrence, so
+            // deduplication does not move it.
+            let start = Instant::now();
+            let answers = match self.config.solver {
+                Solver::PerCriterion => self.slice_batch_sequential(dir, &unique),
+                Solver::OnePass => self.slice_batch_sequential_onepass(dir, &unique),
+            }
+            .map_err(|(j, e)| annotate_with_index(e, distinct.reps[j]))?;
+            let worker = WorkerStats {
+                worker: 0,
+                items: unique.len(),
+                steals: 0,
+                busy: start.elapsed(),
             };
-        }
-        let (results, per_thread) = self.batch_raw(dir, criteria);
-        let mut slices = Vec::with_capacity(criteria.len());
+            (answers, vec![worker])
+        } else {
+            let (results, per_thread) = self.batch_raw(dir, &unique);
+            let mut answers = Vec::with_capacity(results.len());
+            for (j, result) in results.into_iter().enumerate() {
+                let answer = result.map_err(|e| annotate_with_index(e, distinct.reps[j]))?;
+                answers.push(self.adopt(answer));
+            }
+            (answers, per_thread)
+        };
         let mut per_criterion = Vec::new();
         let mut aggregate = PipelineStats::default();
-        for (i, result) in results.into_iter().enumerate() {
-            let answer = result.map_err(|e| annotate_with_index(e, i))?;
-            let (slice, stats) = self.adopt(answer);
-            slices.push(slice);
-            aggregate.absorb(&stats);
-            if self.config.collect_stats {
-                per_criterion.push(stats);
-            }
-        }
+        let slices = distinct
+            .fan_out(answers, |answer| self.duplicate(dir, answer))
+            .into_iter()
+            .map(|(slice, stats)| {
+                aggregate.absorb(&stats);
+                if self.config.collect_stats {
+                    per_criterion.push(stats);
+                }
+                slice
+            })
+            .collect();
         Ok(BatchResult {
             slices,
             per_criterion,
@@ -1162,116 +1204,82 @@ impl Slicer {
         })
     }
 
-    /// The `num_threads <= 1` body of [`slice_batch`](Slicer::slice_batch):
-    /// one scratch, one pass, stop at the first error.
+    /// The sequential per-criterion body of
+    /// [`directed_batch`](Slicer::directed_batch): one scratch, one pass,
+    /// stop at the first error (returned with its position in `criteria`).
     fn slice_batch_sequential(
         &self,
         dir: Direction,
         criteria: &[Criterion],
-    ) -> Result<BatchResult, SpecError> {
-        let start = Instant::now();
+    ) -> Result<Vec<(SpecSlice, PipelineStats)>, (usize, SpecError)> {
         let mut scratch = self.take_scratch();
-        let mut slices = Vec::with_capacity(criteria.len());
-        let mut per_criterion = Vec::new();
-        let mut aggregate = PipelineStats::default();
-        for (i, criterion) in criteria.iter().enumerate() {
+        let mut answers = Vec::with_capacity(criteria.len());
+        for (j, criterion) in criteria.iter().enumerate() {
             let answer = self
                 .answer_in(dir, criterion, &mut scratch, &self.store)
-                .map_err(|e| annotate_with_index(e, i))?;
-            let (slice, stats) = self.adopt(answer);
-            slices.push(slice);
-            aggregate.absorb(&stats);
-            if self.config.collect_stats {
-                per_criterion.push(stats);
-            }
+                .map_err(|e| (j, e))?;
+            answers.push(self.adopt(answer));
         }
         self.put_scratch(scratch);
-        Ok(BatchResult {
-            slices,
-            per_criterion,
-            aggregate,
-            per_thread: vec![WorkerStats {
-                worker: 0,
-                items: criteria.len(),
-                steals: 0,
-                busy: start.elapsed(),
-            }],
-        })
+        Ok(answers)
     }
 
-    /// The `num_threads <= 1` body of [`slice_batch`](Slicer::slice_batch)
+    /// The sequential body of [`directed_batch`](Slicer::directed_batch)
     /// under [`Solver::OnePass`]: groups are processed in plan order with
     /// one scratch, stopping at the first group that contains a failure
     /// (group-granular fail-fast — members of the failing group's shared
-    /// saturation are necessarily in flight together). Answers are adopted
-    /// in input order afterwards, exactly as the parallel path does, so
-    /// successful batches are byte-identical at every width.
+    /// saturation are necessarily in flight together; the group's
+    /// lowest-indexed failure is returned). Answers are adopted in input
+    /// order afterwards, exactly as the parallel path does, so successful
+    /// batches are byte-identical at every width.
     fn slice_batch_sequential_onepass(
         &self,
         dir: Direction,
         criteria: &[Criterion],
-    ) -> Result<BatchResult, SpecError> {
-        let start = Instant::now();
+    ) -> Result<Vec<(SpecSlice, PipelineStats)>, (usize, SpecError)> {
         let groups = plan_groups(&self.sdg, self.proc_regions(), criteria);
         let mut scratch = self.take_scratch();
-        let mut slots: Vec<Option<Result<Answer, SpecError>>> =
-            criteria.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<Answer>> = criteria.iter().map(|_| None).collect();
         for group in &groups {
             let shard = scratch.shard.clone();
-            let results = self.answer_group(dir, criteria, group, &mut scratch, &shard);
-            let failed = results.iter().any(|(_, r)| r.is_err());
-            for (i, result) in results {
-                slots[i] = Some(result);
-            }
-            if failed {
-                // Report the lowest-indexed failure answered so far.
-                for (i, slot) in slots.into_iter().enumerate() {
-                    if let Some(Err(e)) = slot {
-                        return Err(annotate_with_index(e, i));
-                    }
-                }
-                unreachable!("a failed group reported no error");
+            let mut results = self.answer_group(dir, criteria, group, &mut scratch, &shard);
+            results.sort_unstable_by_key(|&(j, _)| j);
+            for (j, result) in results {
+                slots[j] = Some(result.map_err(|e| (j, e))?);
             }
         }
         self.put_scratch(scratch);
-        let mut slices = Vec::with_capacity(criteria.len());
-        let mut per_criterion = Vec::new();
-        let mut aggregate = PipelineStats::default();
-        for slot in slots {
-            let answer = slot
-                .expect("every criterion belongs to exactly one group")
-                .expect("failures returned above");
-            let (slice, stats) = self.adopt(answer);
-            slices.push(slice);
-            aggregate.absorb(&stats);
-            if self.config.collect_stats {
-                per_criterion.push(stats);
-            }
-        }
-        Ok(BatchResult {
-            slices,
-            per_criterion,
-            aggregate,
-            per_thread: vec![WorkerStats {
-                worker: 0,
-                items: criteria.len(),
-                steals: 0,
-                busy: start.elapsed(),
-            }],
-        })
+        Ok(slots
+            .into_iter()
+            .map(|slot| self.adopt(slot.expect("every criterion belongs to exactly one group")))
+            .collect())
     }
 
     /// [`slice_batch`](Slicer::slice_batch) without the fail-fast contract:
     /// every criterion is answered and returned individually, so one
     /// malformed criterion does not poison the rest of the batch. Results
-    /// are in input order; errors identify their criterion by index.
+    /// are in input order; errors identify their criterion by index (a
+    /// duplicate of a failing criterion fails with the same error, tagged
+    /// with its own index).
     pub fn slice_batch_results(&self, criteria: &[Criterion]) -> Vec<Result<SpecSlice, SpecError>> {
-        let (results, _) = self.batch_raw(Direction::Backward, criteria);
-        results
+        let dir = Direction::Backward;
+        let distinct = Distinct::of(dir, criteria);
+        let (results, _) = self.batch_raw(dir, &distinct.criteria(criteria));
+        let answers = results
+            .into_iter()
+            .map(|r| r.map(|answer| self.adopt(answer)))
+            .collect();
+        distinct
+            .fan_out(answers, |answer| {
+                answer
+                    .as_ref()
+                    .map(|answer| self.duplicate(dir, answer))
+                    .map_err(Clone::clone)
+            })
             .into_iter()
             .enumerate()
             .map(|(i, r)| {
-                r.map(|answer| self.adopt(answer).0)
+                r.map(|(slice, _)| slice)
                     .map_err(|e| annotate_with_index(e, i))
             })
             .collect()
@@ -1369,6 +1377,87 @@ impl Slicer {
         regen: &RegenOutput,
     ) -> Result<ResliceReport, SpecError> {
         reslice::reslice_check_reusing(&self.sdg, &self.enc, criterion, slice, regen)
+    }
+}
+
+/// A batch's criteria deduplicated by [`memo_key`]: every batch entry
+/// point answers only the first occurrence of each key and fans that
+/// answer out to the later duplicates. This is independent of
+/// [`SlicerConfig::memoize`] and never reads the memo. Raw-automaton
+/// criteria have no key, so each is its own representative.
+pub(crate) struct Distinct {
+    /// Input index of each distinct criterion's first occurrence,
+    /// ascending.
+    reps: Vec<usize>,
+    /// Per input position, the index into `reps` of the criterion that
+    /// answers it.
+    rep_of: Vec<usize>,
+}
+
+impl Distinct {
+    pub(crate) fn of(dir: Direction, criteria: &[Criterion]) -> Distinct {
+        let mut first: HashMap<MemoKey, usize> = HashMap::new();
+        let mut reps = Vec::new();
+        let mut rep_of = Vec::with_capacity(criteria.len());
+        for (i, criterion) in criteria.iter().enumerate() {
+            let fresh = reps.len();
+            let j = match memo_key(dir, criterion) {
+                Some(key) => *first.entry(key).or_insert(fresh),
+                None => fresh,
+            };
+            if j == fresh {
+                reps.push(i);
+            }
+            rep_of.push(j);
+        }
+        Distinct { reps, rep_of }
+    }
+
+    /// The first duplicate in input order, as `(its index, its
+    /// representative's index)`.
+    pub(crate) fn first_duplicate(&self) -> Option<(usize, usize)> {
+        self.rep_of
+            .iter()
+            .enumerate()
+            .map(|(i, &j)| (i, self.reps[j]))
+            .find(|&(i, rep)| i != rep)
+    }
+
+    /// The representatives, in input order (borrowed when nothing repeats).
+    fn criteria<'a>(&self, criteria: &'a [Criterion]) -> Cow<'a, [Criterion]> {
+        if self.reps.len() == criteria.len() {
+            Cow::Borrowed(criteria)
+        } else {
+            Cow::Owned(self.reps.iter().map(|&i| criteria[i].clone()).collect())
+        }
+    }
+
+    /// Scatters the representatives' answers (one per `reps` entry) back to
+    /// input order: each answer moves to its representative's position and
+    /// every duplicate gets `dup` of it.
+    fn fan_out<T>(&self, answers: Vec<T>, mut dup: impl FnMut(&T) -> T) -> Vec<T> {
+        debug_assert_eq!(answers.len(), self.reps.len());
+        if self.reps.len() == self.rep_of.len() {
+            return answers;
+        }
+        let mut answers: Vec<Option<T>> = answers.into_iter().map(Some).collect();
+        // Walk backwards: a representative precedes its duplicates, so it
+        // still holds its answer while they are served.
+        let mut out: Vec<T> = (0..self.rep_of.len())
+            .rev()
+            .map(|i| {
+                let j = self.rep_of[i];
+                if self.reps[j] == i {
+                    answers[j].take().expect("a representative is placed once")
+                } else {
+                    dup(answers[j]
+                        .as_ref()
+                        .expect("duplicates follow their representative"))
+                }
+            })
+            .collect();
+        out.reverse();
+        out
     }
 }
 
@@ -1470,6 +1559,19 @@ fn dir_stage(dir: Direction) -> &'static str {
     }
 }
 
+/// The stats of a replayed answer — a memo hit, an adopt-time replay, or a
+/// fanned-out batch duplicate: the answer-size fields still describe the
+/// answer, but the work fields count only what this query did, which is
+/// nothing.
+fn replayed(mut stats: PipelineStats) -> PipelineStats {
+    stats.prestar_rule_applications = 0;
+    stats.prestar_peak_worklist = 0;
+    stats.prestar_peak_bytes = 0;
+    stats.saturations_run = 0;
+    stats.criteria_per_saturation = 0;
+    stats
+}
+
 /// Sets the per-direction memo hit/miss counters on a query's stats (the
 /// other direction's counters are zeroed — one query participates in
 /// exactly one direction's cache).
@@ -1551,4 +1653,59 @@ pub(crate) fn run_query_in(
         ..PipelineStats::default()
     };
     Ok((slice, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SRC: &str = r#"
+        int g;
+        void p(int a) { g = a; }
+        int main() { p(1); printf("%d", g); p(2); printf("%d", g); }
+    "#;
+
+    /// A panic while the memo lock is held poisons it; the session keeps
+    /// reading and installing memo entries rather than silently bypassing
+    /// the cache.
+    #[test]
+    fn memo_survives_a_poisoned_lock() {
+        let slicer = Slicer::from_source_with(
+            SRC,
+            SlicerConfig {
+                num_threads: 1,
+                memoize: true,
+                ..SlicerConfig::default()
+            },
+        )
+        .unwrap();
+        let sites: Vec<Criterion> = slicer
+            .sdg()
+            .printf_call_sites()
+            .map(|c| Criterion::AllContexts(c.actual_ins.clone()))
+            .collect();
+        let first = slicer.slice(&sites[0]).unwrap();
+
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = slicer.memo.write().unwrap();
+                panic!("poisoning the memo lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(slicer.memo.is_poisoned());
+
+        assert_eq!(slicer.memo_len(), 1);
+        let again = slicer.slice(&sites[0]).unwrap();
+        assert_eq!(slicer.memo_hits(), 1);
+        assert_eq!(format!("{again:?}"), format!("{first:?}"));
+
+        // New entries still install, and later hit.
+        slicer.slice(&sites[1]).unwrap();
+        assert_eq!(slicer.memo_len(), 2);
+        let batch = slicer.slice_batch(&sites).unwrap();
+        assert_eq!(batch.aggregate.memo_hits_backward, 2);
+        assert_eq!(slicer.memo_hits(), 3);
+    }
 }

@@ -23,7 +23,7 @@
 
 use crate::readout::SpecSlice;
 use crate::regen::{self, EmitFn, EmitMain, RegenOutput};
-use crate::slicer::{memo_key, MemoKey, Slicer};
+use crate::slicer::{Distinct, Slicer};
 use crate::store::VariantId;
 use crate::{Criterion, SpecError};
 use specslice_fsa::FxHashMap;
@@ -182,17 +182,11 @@ impl Slicer {
                  (an empty criterion list would silently produce an empty program)",
             ));
         }
-        let mut seen: HashMap<MemoKey, usize> = HashMap::new();
-        for (i, criterion) in criteria.iter().enumerate() {
-            if let Some(key) = memo_key(dir, criterion) {
-                if let Some(&j) = seen.get(&key) {
-                    return Err(SpecError::bad_criterion(format!(
-                        "duplicate criteria: #{i} repeats #{j} \
-                         (each criterion contributes once to the merged program)"
-                    )));
-                }
-                seen.insert(key, i);
-            }
+        if let Some((i, j)) = Distinct::of(dir, criteria).first_duplicate() {
+            return Err(SpecError::bad_criterion(format!(
+                "duplicate criteria: #{i} repeats #{j} \
+                 (each criterion contributes once to the merged program)"
+            )));
         }
 
         let slices = self.directed_batch(dir, criteria)?.slices;
