@@ -38,10 +38,9 @@ fn bench_mrd() {
         let enc = slicer.encoding();
         let criterion = Criterion::printf_actuals(slicer.sdg());
         let query = criteria::query_automaton(slicer.sdg(), enc, &criterion).unwrap();
-        let a1 = prestar(&enc.pds, &query)
+        let a1_trim = prestar(&enc.pds, &query)
             .expect("well-formed query")
-            .to_nfa(MAIN_CONTROL);
-        let (a1_trim, _) = a1.trimmed();
+            .trimmed_nfa(MAIN_CONTROL);
         println!(
             "{}",
             timer::run(&format!("mrd/pipeline/{name}"), 20, || mrd::mrd(&a1_trim)).row()

@@ -34,7 +34,7 @@
 //! are sample-independent, so they still match the snapshot).
 
 use specslice::exec::{ExecBackend, ExecOutcome, ExecRequest, Interp, Module};
-use specslice::{Criterion, Slicer, SlicerConfig, Solver};
+use specslice::{Criterion, Slicer, SlicerConfig};
 use specslice_bench::{geometric_mean, timer};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -56,7 +56,6 @@ fn config() -> SlicerConfig {
         collect_stats: false,
         memoize: false,
         num_threads: 1,
-        solver: Solver::OnePass,
         ..SlicerConfig::default()
     }
 }

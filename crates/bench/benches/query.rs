@@ -7,12 +7,10 @@
 //! Every workload is answered with memoization *off* and one worker thread,
 //! so each criterion pays the full criterion-dependent pipeline — this is
 //! the hot path that batch parallelism and the incremental memo multiply,
-//! and the one the dense-ID representation targets. Sessions pin
-//! `Solver::OnePass` explicitly (environment-independent counters); the
-//! wall-clock loop answers the whole criterion list through `slice_batch`,
-//! so the one-pass multi-criterion saturation is what the trajectory
-//! numbers track, and the `saturations_run` / `criteria_per_saturation`
-//! counters record how far each workload's batch collapsed.
+//! and the one the dense-ID representation targets. The wall-clock loop
+//! answers the whole criterion list through `slice_batch`, and the
+//! `saturations_run` / `criteria_per_saturation` counters record that the
+//! batch ran one saturation per distinct criterion.
 //!
 //! The bench emits a machine-readable JSON report to stdout (and to
 //! `$BENCH_QUERY_JSON` when set — the committed snapshot at
@@ -49,7 +47,7 @@
 //! session. Those numbers land under the report's top-level `"server"` key
 //! — wall-clock only, so the bench-gate's counter diff never sees them.
 
-use specslice::{Criterion, Slicer, SlicerConfig, Solver};
+use specslice::{Criterion, Slicer, SlicerConfig};
 use specslice_bench::{geometric_mean, timer};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -73,7 +71,6 @@ fn config() -> SlicerConfig {
         collect_stats: false,
         memoize: false,
         num_threads: 1,
-        solver: Solver::OnePass,
         ..SlicerConfig::default()
     }
 }
@@ -105,11 +102,10 @@ struct Counters {
     store_row_bytes: usize,
     merged_functions: usize,
     regen_bytes: usize,
-    /// One-pass batch counters from a single `slice_batch` over the
-    /// workload's criteria: how many saturations the batch actually ran
-    /// (the per-criterion solver would run one per criterion) and the
-    /// widest criterion group a saturation carried. Pure functions of the
-    /// group planning, so the bench-gate diffs them like any other counter.
+    /// Batch counters from a single `slice_batch` over the workload's
+    /// criteria: how many saturations the batch ran (one per distinct
+    /// criterion) and how many criteria the widest saturation answered
+    /// (one). The bench-gate diffs them like any other counter.
     saturations_run: usize,
     criteria_per_saturation: usize,
     /// Forward-query counters: every workload criterion re-answered as a
@@ -256,22 +252,18 @@ fn main() {
             counters.chop_variants = chop.variant_count();
         }
 
-        // One-pass batch counters: a single `slice_batch` over the whole
-        // criterion list. Grids collapse to ⌈n/64⌉ saturations (every
-        // criterion lives in `main`); corpus programs collapse per owning
-        // procedure set.
+        // Batch counters: a single `slice_batch` over the whole criterion
+        // list, which saturates once per distinct criterion.
         {
             let batch = slicer.slice_batch(&criteria).expect("batch");
             counters.saturations_run = batch.aggregate.saturations_run;
             counters.criteria_per_saturation = batch.aggregate.criteria_per_saturation;
-            if name.starts_with("grid") && criteria.len() > 1 {
-                assert!(
-                    counters.saturations_run < criteria.len(),
-                    "{name}: one-pass ran {} saturations for {} criteria",
-                    counters.saturations_run,
-                    criteria.len()
-                );
-            }
+            let distinct = specslice_bench::distinct_criteria(&criteria);
+            assert_eq!(
+                counters.saturations_run, distinct,
+                "{name}: {} saturations for {distinct} distinct criteria",
+                counters.saturations_run
+            );
         }
 
         // Whole-program specialization: the per-printf criteria merged into
@@ -330,9 +322,8 @@ fn main() {
             }
         }
 
-        // Wall-clock: answer the whole criterion list, cold, per sample —
-        // through `slice_batch`, so the one-pass union saturation (still on
-        // one worker thread) is what the trajectory measures.
+        // Wall-clock: answer the whole criterion list, cold, per sample,
+        // through `slice_batch` on one worker thread.
         let s = timer::run(
             &format!("query/{}-x{}", name, criteria.len()),
             samples,

@@ -12,7 +12,7 @@
 //! `BENCH_query.json` (committed snapshot: `BENCH_scale.json` at the repo
 //! root) and separates:
 //!
-//! * **gated counters** (`"counters"`): SDG/PDS sizes, one-pass saturation
+//! * **gated counters** (`"counters"`): SDG/PDS sizes, saturation
 //!   counts, slice sizes, and — when the `count-alloc` feature installs the
 //!   counting allocator — allocation events and bytes for the sequential
 //!   warm batch, normalized per criterion. All are pure functions of the
@@ -25,11 +25,10 @@
 //!   across tiers (tiers run smallest-first).
 //!
 //! `BENCH_SCALE_SMOKE=1` runs only the smallest tier with one sample —
-//! the CI configuration. The smallest tier also cross-checks the one-pass
-//! SCC-sharded batch against the per-criterion reference solver and
-//! asserts byte-identical batches at 1, 2, and 4 worker threads.
+//! the CI configuration. The smallest tier also asserts byte-identical
+//! batches at 1, 2, and 4 worker threads.
 
-use specslice::{Criterion, Slicer, SlicerConfig, Solver};
+use specslice::{Criterion, Slicer, SlicerConfig};
 use specslice_bench::{alloc_count, timer};
 use specslice_corpus::{scale_program, skewed_site_sample, ScaleConfig};
 use std::fmt::Write as _;
@@ -97,7 +96,6 @@ fn config() -> SlicerConfig {
         collect_stats: false,
         memoize: false,
         num_threads: 1,
-        solver: Solver::OnePass,
         ..SlicerConfig::default()
     }
 }
@@ -191,21 +189,12 @@ fn main() {
             counters.slice_vertices += slice.total_vertices();
             counters.variants += slice.variant_count();
         }
-        assert!(
-            counters.saturations_run < criteria.len(),
-            "{}: one-pass ran {} saturations for {} criteria",
-            tier.name,
-            counters.saturations_run,
-            criteria.len()
-        );
-        // Batches answer each distinct criterion once, so even a solver
-        // that saturated per criterion could not exceed the site count.
-        assert!(
-            counters.saturations_run <= counters.distinct_sites,
-            "{}: {} saturations for {} distinct sites",
-            tier.name,
-            counters.saturations_run,
-            counters.distinct_sites
+        // Batches answer each distinct criterion once.
+        let distinct = specslice_bench::distinct_criteria(&criteria);
+        assert_eq!(
+            counters.saturations_run, distinct,
+            "{}: {} saturations for {distinct} distinct criteria",
+            tier.name, counters.saturations_run
         );
         let baseline = format!("{:?}", batch.slices);
 
@@ -216,23 +205,8 @@ fn main() {
         counters.alloc_count_per_criterion = delta.count / criteria.len() as u64;
         counters.alloc_kb_per_criterion = delta.bytes / 1024 / criteria.len() as u64;
 
-        // Smallest tier: full acceptance cross-checks. One-pass must match
-        // the per-criterion reference solver byte for byte, and the batch
-        // must be thread-count independent.
+        // Smallest tier: the batch must be thread-count independent.
         if tier_idx == 0 {
-            let reference = open(
-                &source,
-                SlicerConfig {
-                    solver: Solver::PerCriterion,
-                    ..config()
-                },
-            );
-            let ref_out = format!("{:?}", reference.slice_batch(&criteria).unwrap().slices);
-            assert_eq!(
-                ref_out, baseline,
-                "{}: one-pass diverged from per-criterion reference",
-                tier.name
-            );
             for t in [2usize, 4] {
                 let parallel = open(
                     &source,
@@ -250,8 +224,8 @@ fn main() {
             }
         }
 
-        // Wall-clock: the skewed batch at host-default parallelism — the
-        // number the SCC-sharded planner is meant to move. Ungated.
+        // Wall-clock: the skewed batch at host-default parallelism.
+        // Ungated.
         let wall_session = open(
             &source,
             SlicerConfig {

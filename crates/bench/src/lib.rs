@@ -80,8 +80,7 @@ pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
         let query = criteria::query_automaton(sdg, enc, &criterion).expect("criterion");
         let ta = Instant::now();
         let (a1, _) = prestar_with_stats(&enc.pds, &query).expect("well-formed query");
-        let a1_nfa = a1.to_nfa(MAIN_CONTROL);
-        let (a1_trim, _) = a1_nfa.trimmed();
+        let a1_trim = a1.trimmed_nfa(MAIN_CONTROL);
         let (a6, _) = mrd_with_stats(&a1_trim);
         let automata_time = ta.elapsed();
 
@@ -131,6 +130,26 @@ pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
         });
     }
     out
+}
+
+/// How many distinct criteria `criteria` holds — what a batch saturates
+/// once each. All-contexts criteria are keyed by their vertex set; any
+/// other criterion counts as distinct.
+pub fn distinct_criteria(criteria: &[Criterion]) -> usize {
+    let mut keys = std::collections::BTreeSet::new();
+    let mut other = 0;
+    for criterion in criteria {
+        match criterion {
+            Criterion::AllContexts(verts) => {
+                let mut key: Vec<u32> = verts.iter().map(|v| v.0).collect();
+                key.sort_unstable();
+                key.dedup();
+                keys.insert(key);
+            }
+            _ => other += 1,
+        }
+    }
+    keys.len() + other
 }
 
 /// Geometric mean of strictly positive values (the paper's aggregation).

@@ -305,9 +305,6 @@ impl Slicer {
         self.enc = enc;
         self.store = new_store;
         self.reachable = reachable;
-        // The call graph may have changed shape; the planner's region map
-        // is cheap to rebuild, so always recompute it lazily.
-        self.regions = std::sync::OnceLock::new();
         *self.memo.write().unwrap_or_else(|e| e.into_inner()) = kept;
         report
     }
@@ -327,7 +324,6 @@ impl Slicer {
         self.enc = enc;
         self.store = Arc::new(VariantStore::new());
         self.reachable = OnceLock::new();
-        self.regions = OnceLock::new();
         self.memo.write().unwrap_or_else(|e| e.into_inner()).clear();
         Ok(EditReport {
             memo_dropped: dropped,

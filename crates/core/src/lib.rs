@@ -98,7 +98,7 @@ pub use criteria::Criterion;
 pub use incremental::EditReport;
 pub use readout::{QueryKind, SpecSlice, VariantMeta, VariantPdg};
 pub use session_io::{MemoExport, MemoExportVariant, MemoKeyExport};
-pub use slicer::{BatchResult, ScratchStats, Slicer, SlicerConfig, Solver};
+pub use slicer::{BatchResult, ScratchStats, Slicer, SlicerConfig};
 pub use specialize::{MergedFunction, SpecializedProgram};
 pub use store::{StoreStats, VariantId, VariantStore};
 // Batch slicing reports per-worker accounting in [`BatchResult::per_thread`];
@@ -258,9 +258,10 @@ pub fn specialize(sdg: &Sdg, criterion: &Criterion) -> Result<SpecSlice, SpecErr
 pub struct PipelineStats {
     /// `|Δ|` of the encoded PDS.
     pub pds_rules: usize,
-    /// Transitions in the saturated automaton (`Prestar` for backward
-    /// queries, `Poststar` for forward ones; the field name keeps the
-    /// historical spelling for serialization stability).
+    /// Transitions in this query's own saturated automaton (`Prestar` for
+    /// backward queries, `Poststar` for forward ones; the field name keeps
+    /// the historical spelling for serialization stability). An answer-size
+    /// field: replays keep the size recorded when the answer was computed.
     pub prestar_transitions: usize,
     /// Peak bytes retained during saturation (Fig. 22 accounting). A work
     /// field: `0` on memo hits and fanned-out batch duplicates, which ran
@@ -279,19 +280,16 @@ pub struct PipelineStats {
     pub a1_transitions: usize,
     /// MRD pipeline statistics (`determinize` / `minimize` sizes).
     pub mrd: MrdStats,
-    /// `Prestar` saturations this query paid for. Under the per-criterion
-    /// solver every computed query runs its own (`1`); under the one-pass
-    /// solver one member of each criterion group carries its group's shared
-    /// saturation and the rest report `0`, so a batch aggregate counts
-    /// *distinct* saturations run — the number the one-pass solver exists
-    /// to shrink. Memo hits and fanned-out batch duplicates report `0`;
-    /// they keep the answer-size fields (`prestar_transitions`, `a1_*`,
-    /// `mrd`) recorded when the answer was computed.
+    /// Saturations this query paid for: `1` for every computed query, `0`
+    /// for memo hits and fanned-out batch duplicates (which keep the
+    /// answer-size fields — `prestar_transitions`, `a1_*`, `mrd` — recorded
+    /// when the answer was computed). A batch aggregate therefore counts
+    /// the distinct criteria that missed the memo.
     pub saturations_run: usize,
-    /// Criteria answered by this query's saturation (its criterion-group
-    /// width; `1` under the per-criterion solver, `0` on non-carrying group
-    /// members). Aggregated as a max, so a batch aggregate reports the
-    /// widest single saturation in the batch.
+    /// Criteria answered by this query's saturation: `1` for a computed
+    /// query, `0` for a replay. Aggregated as a max, so a batch aggregate
+    /// reads `1` when anything was computed. Kept for the stable stats and
+    /// snapshot layout; every saturation answers one criterion.
     pub criteria_per_saturation: usize,
     /// Backward queries answered from the session memo (`1` on a hit, `0`
     /// otherwise; summed by [`PipelineStats::absorb`], so a batch aggregate

@@ -32,77 +32,16 @@ use crate::store::{StoreStats, VariantId, VariantStore};
 use crate::{feature_removal, PipelineStats, SpecError};
 use specslice_exec::{Pool, WorkerStats};
 use specslice_fsa::mrd::mrd_with_stats;
-use specslice_fsa::{Nfa, StateId};
-use specslice_graphs::{DiGraph, NodeId, Sccs};
+use specslice_fsa::Nfa;
 use specslice_lang::Program;
-use specslice_pds::{
-    saturate_indexed_with_stats, saturate_multi_indexed_with_stats, CriterionSet, Direction,
-    PAutomaton, PState, SaturationScratch,
-};
+use specslice_pds::{saturate_indexed_with_stats, Direction, PAutomaton, SaturationScratch};
 use specslice_sdg::build::build_sdg;
-use specslice_sdg::{CallSiteId, CalleeKind, Sdg, VertexId};
+use specslice_sdg::{CallSiteId, Sdg, VertexId};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
-
-/// Multi-criterion solving strategy for [`Slicer::slice_batch`] (and
-/// everything built on it: [`Slicer::slice_batch_results`],
-/// `specialize_program`, `apply_edit` re-slicing).
-///
-/// Both solvers produce **byte-identical** output — slices, memo contents,
-/// store ids and counters — at every thread count; they differ only in how
-/// many `Prestar` saturations a batch costs (visible in
-/// [`PipelineStats::saturations_run`]) and therefore in wall-clock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Solver {
-    /// One full `Prestar` + MRD chain per criterion — the reference
-    /// pipeline, kept alive as the fallback and as the oracle the
-    /// differential tests compare [`Solver::OnePass`] against.
-    PerCriterion,
-    /// Group criteria by owning procedure and run *one* bitset-labeled
-    /// saturation per group (up to 64 criteria each), projecting the
-    /// per-criterion `A1`s out of the shared result afterwards — so a
-    /// 40-criterion grid batch costs ~1 saturation instead of 40.
-    OnePass,
-}
-
-impl Solver {
-    /// Parses a `SPECSLICE_SOLVER` value.
-    pub fn parse(value: &str) -> Option<Solver> {
-        match value.trim() {
-            "per-criterion" => Some(Solver::PerCriterion),
-            "one-pass" => Some(Solver::OnePass),
-            _ => None,
-        }
-    }
-}
-
-/// The default batch solver: the `SPECSLICE_SOLVER` environment variable
-/// (`per-criterion` | `one-pass`) when set to a valid value, otherwise
-/// [`Solver::OnePass`].
-///
-/// The variable exists for test sweeps and CI (mirroring
-/// `SPECSLICE_NUM_THREADS`): both settings produce byte-identical output,
-/// so a matrix leg can run the whole suite under either solver without
-/// touching code. A present-but-invalid value is logged to stderr (once
-/// per process) and ignored.
-pub fn default_solver() -> Solver {
-    match std::env::var("SPECSLICE_SOLVER") {
-        Ok(v) => Solver::parse(&v).unwrap_or_else(|| {
-            static LOGGED: std::sync::Once = std::sync::Once::new();
-            LOGGED.call_once(|| {
-                eprintln!(
-                    "specslice: invalid SPECSLICE_SOLVER={v:?} \
-                     (expected \"per-criterion\" or \"one-pass\"); using one-pass"
-                );
-            });
-            Solver::OnePass
-        }),
-        Err(_) => Solver::OnePass,
-    }
-}
 
 /// Options for a [`Slicer`] session.
 ///
@@ -145,12 +84,6 @@ pub struct SlicerConfig {
     /// out to its duplicates, memo or no memo. With the memo on, a
     /// fanned-out duplicate is counted as a memo hit.
     pub memoize: bool,
-    /// Multi-criterion solving strategy (see [`Solver`]). Defaults to
-    /// [`Solver::OnePass`], overridable for sweeps via the
-    /// `SPECSLICE_SOLVER` environment variable (see [`default_solver`]).
-    /// Output is byte-identical under both settings — the knob only trades
-    /// saturations (and wall-clock) for the reference pipeline.
-    pub solver: Solver,
 }
 
 impl Default for SlicerConfig {
@@ -160,7 +93,6 @@ impl Default for SlicerConfig {
             collect_stats: true,
             num_threads: specslice_exec::default_threads(),
             memoize: true,
-            solver: default_solver(),
         }
     }
 }
@@ -212,11 +144,6 @@ pub struct Slicer {
     /// instead of one caller panicking on behalf of the rest).
     pub(crate) reachable: OnceLock<Result<Nfa, SpecError>>,
     pub(crate) reachable_builds: AtomicUsize,
-    /// Call-graph region (SCC of the call graph's condensation) per
-    /// procedure — the one-pass planner's grouping key. Built lazily on
-    /// the first batch and shared by every batch after it; invalidated
-    /// together with the SDG on incremental edits.
-    pub(crate) regions: OnceLock<Vec<u32>>,
     queries_run: AtomicUsize,
     /// Criterion → cached-slice memo (see [`SlicerConfig::memoize`]).
     /// Shared read-mostly across batch workers; [`Slicer::apply_edit`]
@@ -477,7 +404,6 @@ impl Slicer {
             store: Arc::new(VariantStore::new()),
             reachable: OnceLock::new(),
             reachable_builds: AtomicUsize::new(0),
-            regions: OnceLock::new(),
             queries_run: AtomicUsize::new(0),
             memo: RwLock::new(HashMap::new()),
             memo_hits: AtomicUsize::new(0),
@@ -800,38 +726,6 @@ impl Slicer {
         Ok(self.adopt(answer))
     }
 
-    /// The call-graph region of every procedure: its component in the SCC
-    /// condensation of the call graph (computed via `specslice_graphs`,
-    /// indirect calls contributing their dispatcher's out-edges like any
-    /// other call site). Procedures in one region — a mutual-recursion
-    /// cluster — pull in near-identical saturation state, so the one-pass
-    /// planner groups criteria by region sets rather than exact procedure
-    /// sets: a skewed batch hammering one recursive ring shares saturations
-    /// across the whole ring instead of fragmenting per procedure.
-    fn proc_regions(&self) -> &[u32] {
-        self.regions.get_or_init(|| {
-            let mut g = DiGraph::with_nodes(self.sdg.procs.len());
-            for site in &self.sdg.call_sites {
-                if let CalleeKind::User(p) = site.callee {
-                    g.add_edge_unique(NodeId(site.caller.0), NodeId(p.0));
-                }
-            }
-            let sccs = Sccs::compute(&g);
-            (0..self.sdg.procs.len())
-                .map(|i| sccs.component_of(NodeId(i as u32)) as u32)
-                .collect()
-        })
-    }
-
-    /// Answers every criterion across the session's worker pool, returning
-    /// raw per-criterion results in input order plus per-worker accounting.
-    fn batch_raw(&self, dir: Direction, criteria: &[Criterion]) -> (RawBatch, Vec<WorkerStats>) {
-        match self.config.solver {
-            Solver::PerCriterion => self.batch_raw_per_criterion(dir, criteria),
-            Solver::OnePass => self.batch_raw_onepass(dir, criteria),
-        }
-    }
-
     /// Forces the shared reachable automaton before fanning a batch out, so
     /// the workers start against a warm cache instead of serializing on its
     /// initialization lock. (A build *failure* is cached and surfaces
@@ -846,13 +740,10 @@ impl Slicer {
         }
     }
 
-    /// [`batch_raw`](Slicer::batch_raw) under [`Solver::PerCriterion`]:
-    /// each criterion is an independent pool item.
-    fn batch_raw_per_criterion(
-        &self,
-        dir: Direction,
-        criteria: &[Criterion],
-    ) -> (RawBatch, Vec<WorkerStats>) {
+    /// Answers every criterion across the session's worker pool, each
+    /// criterion an independent pool item, returning raw per-criterion
+    /// results in input order plus per-worker accounting.
+    fn batch_raw(&self, dir: Direction, criteria: &[Criterion]) -> (RawBatch, Vec<WorkerStats>) {
         let pool = Pool::new(self.config.num_threads);
         if pool.threads() > 1 {
             self.warm_reachable_for(criteria);
@@ -861,228 +752,6 @@ impl Slicer {
             let shard = scratch.shard.clone();
             self.answer_in(dir, criterion, scratch, &shard)
         })
-    }
-
-    /// [`batch_raw`](Slicer::batch_raw) under [`Solver::OnePass`]: the pool
-    /// items are criterion *groups* (weighted by member count, so
-    /// per-worker accounting still counts criteria), and each group runs
-    /// one shared saturation via [`Slicer::answer_group`].
-    fn batch_raw_onepass(
-        &self,
-        dir: Direction,
-        criteria: &[Criterion],
-    ) -> (RawBatch, Vec<WorkerStats>) {
-        let groups = plan_groups(&self.sdg, self.proc_regions(), criteria);
-        let pool = Pool::new(self.config.num_threads);
-        if pool.threads() > 1 {
-            self.warm_reachable_for(criteria);
-        }
-        let (chunks, per_thread) = pool.map_init_stats_weighted(
-            &groups,
-            QueryScratch::default,
-            Vec::len,
-            |scratch, _, group| {
-                let shard = scratch.shard.clone();
-                self.answer_group(dir, criteria, group, scratch, &shard)
-            },
-        );
-        // Scatter the group results back to input order.
-        let mut slots: Vec<Option<Result<Answer, SpecError>>> =
-            criteria.iter().map(|_| None).collect();
-        for chunk in chunks {
-            for (i, result) in chunk {
-                debug_assert!(slots[i].is_none(), "criterion {i} answered twice");
-                slots[i] = Some(result);
-            }
-        }
-        let results = slots
-            .into_iter()
-            .map(|slot| slot.expect("every criterion belongs to exactly one group"))
-            .collect();
-        (results, per_thread)
-    }
-
-    /// Answers one criterion group: memo hits peel off individually, the
-    /// remaining members share a single multi-criterion saturation whose
-    /// result is projected per member. A group that shrinks to one pending
-    /// member falls back to the solo pipeline.
-    ///
-    /// The memo is only *read* here (the batch adopts answers — and
-    /// installs entries — afterwards, in input order), so group results are
-    /// independent of worker scheduling. Members have pairwise distinct
-    /// memo keys: the batch entry deduplicated them before planning.
-    fn answer_group(
-        &self,
-        dir: Direction,
-        criteria: &[Criterion],
-        members: &[usize],
-        scratch: &mut QueryScratch,
-        store: &Arc<VariantStore>,
-    ) -> Vec<(usize, Result<Answer, SpecError>)> {
-        let mut out = Vec::with_capacity(members.len());
-        let mut pending: Vec<(usize, Option<MemoKey>, Instant, PAutomaton)> = Vec::new();
-        for &i in members {
-            let criterion = &criteria[i];
-            let start = Instant::now();
-            let key = if self.config.memoize {
-                memo_key(dir, criterion)
-            } else {
-                None
-            };
-            if let Some(k) = &key {
-                if let Some(answer) = self.answer_from_memo(k, start) {
-                    out.push((i, Ok(answer)));
-                    continue;
-                }
-            }
-            match self.query(criterion) {
-                Ok(query) => pending.push((i, key, start, query)),
-                Err(e) => out.push((i, Err(e))),
-            }
-        }
-        match pending.len() {
-            0 => return out,
-            1 => {
-                // A lone pending member gains nothing from the union
-                // machinery; run the reference pipeline.
-                let (i, key, start, query) = pending.pop().expect("len checked");
-                let result = run_query_in(
-                    dir,
-                    &self.sdg,
-                    &self.enc,
-                    &query,
-                    self.config.validate,
-                    scratch,
-                    store,
-                )
-                .map(|(slice, mut stats)| {
-                    stats.query_time = start.elapsed();
-                    if key.is_some() {
-                        set_memo_counters(&mut stats, dir, false);
-                    }
-                    Answer {
-                        slice,
-                        stats,
-                        key,
-                        from_memo: false,
-                    }
-                });
-                out.push((i, result));
-                return out;
-            }
-            _ => {}
-        }
-
-        let group_width = pending.len();
-        let sat_start = Instant::now();
-        let queries: Vec<&PAutomaton> = pending.iter().map(|(_, _, _, q)| q).collect();
-        let multi = match saturate_multi_indexed_with_stats(
-            dir,
-            &self.enc.index,
-            &queries,
-            &mut scratch.sat,
-        ) {
-            Ok(multi) => multi,
-            Err(e) => {
-                // A malformed union (engine invariant) fails the whole
-                // group; per-member query construction errors were
-                // already peeled off above.
-                let e = SpecError::pds(dir_stage(dir), e);
-                out.extend(pending.into_iter().map(|(i, ..)| (i, Err(e.clone()))));
-                return out;
-            }
-        };
-        // Split the union automaton into the member `A1`s in ONE pass over
-        // its transitions — one mask lookup each, scattered to every member
-        // in the mask — instead of a full masked sweep per member (which is
-        // quadratic in the group width). The saturated automaton is
-        // consumed in P-state form directly (state `s` → NFA state `s + 1`,
-        // MAIN_CONTROL's row duplicated onto the fresh initial 0 — exactly
-        // `PAutomaton::to_nfa`'s mapping), so no union NFA is materialized.
-        // Forward (`post*`) output carries ε-transitions out of the pop
-        // rules' intermediate controls; they are split to members like any
-        // labeled transition (the masks key ε too) and consumed by the
-        // ε-capable MRD pipeline downstream.
-        let n_union_states = multi.automaton.state_count();
-        let pmain = multi.automaton.control_state(MAIN_CONTROL);
-        let mut member_a1: Vec<Nfa> = (0..group_width)
-            .map(|_| {
-                let mut a1 = Nfa::new();
-                for _ in 0..n_union_states {
-                    a1.add_state();
-                }
-                a1
-            })
-            .collect();
-        for (from, l, to) in multi.automaton.transitions() {
-            for slot in multi.mask_label(from, l, to).members() {
-                let a1 = &mut member_a1[slot];
-                a1.add_transition(StateId(from.0 + 1), l, StateId(to.0 + 1));
-                if from == pmain {
-                    a1.add_transition(a1.initial(), l, StateId(to.0 + 1));
-                }
-            }
-        }
-        for (slot, (i, key, _, _)) in pending.iter().enumerate() {
-            let member_start = Instant::now();
-            let mut a1_nfa = std::mem::take(&mut member_a1[slot]);
-            for &f in &multi.member_finals[slot] {
-                a1_nfa.set_final(multi.automaton.nfa_state_of(f));
-            }
-            if multi.member_finals[slot].contains(&PState(MAIN_CONTROL.0)) {
-                a1_nfa.set_final(a1_nfa.initial());
-            }
-            let (a1_trim, _) = a1_nfa.trimmed();
-            let (a6, mrd_stats) = mrd_with_stats(&a1_trim);
-            let result = readout::read_out_in(
-                &self.sdg,
-                &self.enc,
-                &a6,
-                self.config.validate,
-                dir.into(),
-                &mut scratch.readout,
-                store,
-            )
-            .map(|slice| {
-                // The group's shared saturation is attributed to its first
-                // pending member (deterministic at every thread count); the
-                // others report zero saturation work.
-                let first = slot == 0;
-                let mut stats = PipelineStats {
-                    pds_rules: self.enc.pds.rule_count(),
-                    prestar_transitions: if first { multi.stats.transitions } else { 0 },
-                    prestar_peak_bytes: if first { multi.stats.peak_bytes } else { 0 },
-                    prestar_rule_applications: if first {
-                        multi.stats.rule_applications
-                    } else {
-                        0
-                    },
-                    prestar_peak_worklist: if first { multi.stats.peak_worklist } else { 0 },
-                    a1_states: a1_trim.state_count(),
-                    a1_transitions: a1_trim.transition_count(),
-                    mrd: mrd_stats,
-                    saturations_run: if first { 1 } else { 0 },
-                    criteria_per_saturation: if first { group_width } else { 0 },
-                    query_time: if first {
-                        sat_start.elapsed()
-                    } else {
-                        member_start.elapsed()
-                    },
-                    ..PipelineStats::default()
-                };
-                if key.is_some() {
-                    set_memo_counters(&mut stats, dir, false);
-                }
-                Answer {
-                    slice,
-                    stats,
-                    key: key.clone(),
-                    from_memo: false,
-                }
-            });
-            out.push((*i, result));
-        }
-        out
     }
 
     /// Slices every criterion in `criteria`, sharing the per-program work
@@ -1133,7 +802,7 @@ impl Slicer {
 
     /// [`slice_batch`](Slicer::slice_batch) in the forward direction: one
     /// [`forward_slice`](Slicer::forward_slice) per criterion, in input
-    /// order, with the same solver/threading/memoization behavior (and the
+    /// order, with the same dedup/threading/memoization behavior (and the
     /// same byte-identical-at-every-width guarantee) as backward batches.
     pub fn forward_slice_batch(&self, criteria: &[Criterion]) -> Result<BatchResult, SpecError> {
         self.directed_batch(Direction::Forward, criteria)
@@ -1154,19 +823,16 @@ impl Slicer {
         let unique = distinct.criteria(criteria);
         let (answers, per_thread) = if self.config.num_threads.min(unique.len()) <= 1 {
             // Sequential fast path with genuine fail-fast: nothing after the
-            // first failing criterion (per-criterion solver) or failing
-            // criterion *group* (one-pass solver) runs. The parallel path
-            // must answer everything already in flight, but converges on
-            // the same lowest-indexed error, so the two paths are
-            // indistinguishable to the caller (modulo counters on error).
-            // The lowest-indexed failure is always a first occurrence, so
-            // deduplication does not move it.
+            // first failing criterion runs. The parallel path must answer
+            // everything already in flight, but converges on the same
+            // lowest-indexed error, so the two paths are indistinguishable
+            // to the caller (modulo counters on error). The lowest-indexed
+            // failure is always a first occurrence, so deduplication does
+            // not move it.
             let start = Instant::now();
-            let answers = match self.config.solver {
-                Solver::PerCriterion => self.slice_batch_sequential(dir, &unique),
-                Solver::OnePass => self.slice_batch_sequential_onepass(dir, &unique),
-            }
-            .map_err(|(j, e)| annotate_with_index(e, distinct.reps[j]))?;
+            let answers = self
+                .slice_batch_sequential(dir, &unique)
+                .map_err(|(j, e)| annotate_with_index(e, distinct.reps[j]))?;
             let worker = WorkerStats {
                 worker: 0,
                 items: unique.len(),
@@ -1204,8 +870,8 @@ impl Slicer {
         })
     }
 
-    /// The sequential per-criterion body of
-    /// [`directed_batch`](Slicer::directed_batch): one scratch, one pass,
+    /// The sequential body of [`directed_batch`](Slicer::directed_batch):
+    /// one warm scratch, one pass,
     /// stop at the first error (returned with its position in `criteria`).
     fn slice_batch_sequential(
         &self,
@@ -1222,37 +888,6 @@ impl Slicer {
         }
         self.put_scratch(scratch);
         Ok(answers)
-    }
-
-    /// The sequential body of [`directed_batch`](Slicer::directed_batch)
-    /// under [`Solver::OnePass`]: groups are processed in plan order with
-    /// one scratch, stopping at the first group that contains a failure
-    /// (group-granular fail-fast — members of the failing group's shared
-    /// saturation are necessarily in flight together; the group's
-    /// lowest-indexed failure is returned). Answers are adopted in input
-    /// order afterwards, exactly as the parallel path does, so successful
-    /// batches are byte-identical at every width.
-    fn slice_batch_sequential_onepass(
-        &self,
-        dir: Direction,
-        criteria: &[Criterion],
-    ) -> Result<Vec<(SpecSlice, PipelineStats)>, (usize, SpecError)> {
-        let groups = plan_groups(&self.sdg, self.proc_regions(), criteria);
-        let mut scratch = self.take_scratch();
-        let mut slots: Vec<Option<Answer>> = criteria.iter().map(|_| None).collect();
-        for group in &groups {
-            let shard = scratch.shard.clone();
-            let mut results = self.answer_group(dir, criteria, group, &mut scratch, &shard);
-            results.sort_unstable_by_key(|&(j, _)| j);
-            for (j, result) in results {
-                slots[j] = Some(result.map_err(|e| (j, e))?);
-            }
-        }
-        self.put_scratch(scratch);
-        Ok(slots
-            .into_iter()
-            .map(|slot| self.adopt(slot.expect("every criterion belongs to exactly one group")))
-            .collect())
     }
 
     /// [`slice_batch`](Slicer::slice_batch) without the fail-fast contract:
@@ -1290,7 +925,7 @@ impl Slicer {
     /// `forward_slice(source) ∩ slice(target)`, intersected on the two
     /// queries' canonical MRD automata and re-canonicalized, so the result
     /// is byte-identical to computing the two slices independently and
-    /// intersecting them (at every thread count and under both solvers).
+    /// intersecting them (at every thread count).
     ///
     /// The two constituent queries go through the session memo (a repeated
     /// chop endpoint is a cache hit); the intersection itself is cheap and
@@ -1461,79 +1096,6 @@ impl Distinct {
     }
 }
 
-/// Plans the one-pass solver's criterion groups: a partition of
-/// `0..criteria.len()` where each group shares one saturation.
-///
-/// Criteria are grouped by the sorted set of call-graph *regions* (SCC
-/// condensation components, see [`Slicer::proc_regions`]) owning their
-/// vertices — criteria rooted in the same mutual-recursion cluster
-/// saturate near-identical state, which is exactly the redundancy the
-/// shared saturation eliminates; unrelated criteria would only bloat each
-/// other's union automaton. Raw-automaton criteria and criteria naming an
-/// out-of-range vertex (rejected later, during query construction) get
-/// singleton groups. Members stay in input order and groups wider than
-/// [`CriterionSet::MAX_MEMBERS`] roll over into fresh groups of the same
-/// shard. The returned plan is ordered shard-contiguously (shards in first
-/// appearance order, a shard's rollover chain adjacent within it) so the
-/// pool's contiguous deal lands same-region groups on the same worker —
-/// warm rows for the region's saturation state — instead of interleaving
-/// them across the pool. The plan is a pure function of the criterion list
-/// and the session's SDG; results are scattered back to input order, so
-/// batch output stays thread-count-independent.
-fn plan_groups(sdg: &Sdg, regions: &[u32], criteria: &[Criterion]) -> Vec<Vec<usize>> {
-    let vertex_bound = sdg.vertex_count() as u32;
-    let region_key = |verts: &mut dyn Iterator<Item = u32>| -> Option<Vec<u32>> {
-        let mut key = Vec::new();
-        for v in verts {
-            if v >= vertex_bound {
-                return None;
-            }
-            key.push(regions[sdg.vertex(VertexId(v)).proc.0 as usize]);
-        }
-        key.sort_unstable();
-        key.dedup();
-        Some(key)
-    };
-    // Each group carries its shard id (one per distinct key, in first
-    // appearance order; keyless singletons shard alone) until the final
-    // shard-contiguous ordering below.
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    // Key → (open group index, shard id).
-    let mut open: HashMap<Vec<u32>, (usize, usize)> = HashMap::new();
-    let mut shards = 0usize;
-    for (i, criterion) in criteria.iter().enumerate() {
-        let key = match criterion {
-            Criterion::AllContexts(verts) => region_key(&mut verts.iter().map(|v| v.0)),
-            Criterion::Configurations(configs) => region_key(&mut configs.iter().map(|(v, _)| v.0)),
-            Criterion::Automaton(_) => None,
-        };
-        match key {
-            None => {
-                groups.push((shards, vec![i]));
-                shards += 1;
-            }
-            Some(key) => match open.get_mut(&key) {
-                Some(&mut (g, _)) if groups[g].1.len() < CriterionSet::MAX_MEMBERS => {
-                    groups[g].1.push(i);
-                }
-                Some(entry) => {
-                    // Mask rollover: a fresh group in the same shard.
-                    entry.0 = groups.len();
-                    let shard = entry.1;
-                    groups.push((shard, vec![i]));
-                }
-                None => {
-                    open.insert(key, (groups.len(), shards));
-                    groups.push((shards, vec![i]));
-                    shards += 1;
-                }
-            },
-        }
-    }
-    groups.sort_by_key(|&(shard, _)| shard);
-    groups.into_iter().map(|(_, members)| members).collect()
-}
-
 /// Tags a failing batch member with its criterion index, for every error
 /// variant a query can produce (so "errors identify their criterion by
 /// index" holds for internal invariant violations too, where knowing the
@@ -1627,8 +1189,7 @@ pub(crate) fn run_query_in(
 ) -> Result<(SpecSlice, PipelineStats), SpecError> {
     let (a1, satstats) = saturate_indexed_with_stats(dir, &enc.index, query, &mut scratch.sat)
         .map_err(|e| SpecError::pds(dir_stage(dir), e))?;
-    let a1_nfa = a1.to_nfa(MAIN_CONTROL);
-    let (a1_trim, _) = a1_nfa.trimmed();
+    let a1_trim = a1.trimmed_nfa(MAIN_CONTROL);
     let (a6, mrd_stats) = mrd_with_stats(&a1_trim);
     let slice = readout::read_out_in(
         sdg,

@@ -213,31 +213,6 @@ impl Pool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        self.map_init_stats_weighted(items, init, |_| 1, f)
-    }
-
-    /// [`map_init_stats`](Pool::map_init_stats) where each item contributes
-    /// `weight(item)` (instead of 1) to the per-worker `items`/`steals`
-    /// accounting.
-    ///
-    /// For callers that dispatch *groups* of logical work items — e.g. the
-    /// one-pass batch slicer mapping over criterion groups — this keeps the
-    /// invariant that per-worker `items` sum to the logical item count, not
-    /// the group count, no matter how the groups were packed.
-    pub fn map_init_stats_weighted<S, T, R, I, W, F>(
-        &self,
-        items: &[T],
-        init: I,
-        weight: W,
-        f: F,
-    ) -> (Vec<R>, Vec<WorkerStats>)
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        W: Fn(&T) -> usize + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
         let n = self.threads.min(items.len()).max(1);
         if n == 1 {
             // Sequential fast path: no threads, no queues, no locks. This is
@@ -252,7 +227,7 @@ impl Pool {
                 .collect();
             let stats = vec![WorkerStats {
                 worker: 0,
-                items: items.iter().map(&weight).sum(),
+                items: items.len(),
                 steals: 0,
                 busy: start.elapsed(),
             }];
@@ -273,7 +248,6 @@ impl Pool {
         let (slots, stats) = std::thread::scope(|scope| {
             let queues = &queues;
             let init = &init;
-            let weight = &weight;
             let f = &f;
             let handles: Vec<_> = (0..n)
                 .map(|w| {
@@ -300,10 +274,9 @@ impl Pool {
                             // All deques empty means all work is claimed;
                             // no new items are ever enqueued, so exit.
                             let Some(i) = next else { break };
-                            let units = weight(&items[i]);
-                            done += units;
+                            done += 1;
                             if stolen {
-                                steals += units;
+                                steals += 1;
                             }
                             local.push((i, f(&mut state, i, &items[i])));
                         }
@@ -434,31 +407,6 @@ mod tests {
         assert_eq!(out, items);
         let total: usize = stats.iter().map(|s| s.items).sum();
         assert_eq!(total, items.len());
-    }
-
-    #[test]
-    fn weighted_stats_sum_to_logical_items() {
-        // Groups of varying width: per-worker `items` must sum to the
-        // total logical weight at every thread count, and results stay in
-        // input order.
-        let groups: Vec<Vec<u32>> = (0..23).map(|g| (0..(g % 5 + 1)).collect()).collect();
-        let total: usize = groups.iter().map(Vec::len).sum();
-        for threads in [1, 2, 4, 8] {
-            let (out, stats) = Pool::new(threads).map_init_stats_weighted(
-                &groups,
-                || (),
-                Vec::len,
-                |(), i, g| (i, g.len()),
-            );
-            assert_eq!(out.len(), groups.len(), "{threads} threads");
-            assert!(out.iter().enumerate().all(|(i, &(j, _))| i == j));
-            assert_eq!(
-                stats.iter().map(|s| s.items).sum::<usize>(),
-                total,
-                "{threads} threads"
-            );
-            assert!(stats.iter().all(|s| s.steals <= s.items));
-        }
     }
 
     #[test]

@@ -208,36 +208,6 @@ pub fn relabel_inverse(nfa: &Nfa, preimages: impl Fn(Symbol) -> Vec<Symbol>) -> 
     out
 }
 
-/// Projects an automaton onto a transition subset: same state space, only
-/// the transitions `keep` admits, and `finals` replacing the final-state
-/// set.
-///
-/// Used by the one-pass multi-criterion solver to split a single saturated
-/// union automaton into per-criterion `A1`s — `keep` tests the criterion's
-/// bit in the saturation's transition masks, `finals` is that criterion's
-/// final set. Dead states are left in place (callers trim), so state ids
-/// stay comparable to the input's.
-pub fn project(
-    nfa: &Nfa,
-    mut keep: impl FnMut(StateId, Option<Symbol>, StateId) -> bool,
-    finals: &BTreeSet<StateId>,
-) -> Nfa {
-    let mut out = Nfa::new();
-    for _ in 1..nfa.state_count() {
-        out.add_state();
-    }
-    for (from, l, to) in nfa.transitions() {
-        if keep(from, l, to) {
-            out.add_transition(from, l, to);
-        }
-    }
-    for &q in finals {
-        debug_assert!(q.0 < nfa.state_count() as u32, "final state out of range");
-        out.set_final(q);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,35 +322,5 @@ mod tests {
         let empty = Dfa::new();
         let d = difference(&n, &empty);
         assert!(equivalent(&n, &d));
-    }
-
-    #[test]
-    fn project_filters_transitions_and_replaces_finals() {
-        let (a, b, c) = (sym(0), sym(1), sym(2));
-        let n = abc(); // a b* c, final = q2
-                       // Keep everything, same finals: identity.
-        let id = project(&n, |_, _, _| true, &n.finals().iter().copied().collect());
-        assert_eq!(id.state_count(), n.state_count());
-        assert_eq!(id.transition_count(), n.transition_count());
-        assert!(equivalent(&n, &id));
-        // Drop the b-loop: language collapses to { a c }.
-        let no_loop = project(
-            &n,
-            |_, l, _| l != Some(b),
-            &n.finals().iter().copied().collect(),
-        );
-        assert!(no_loop.accepts(&[a, c]));
-        assert!(!no_loop.accepts(&[a, b, c]));
-        // Replace finals with q1: language becomes a b*.
-        let q1: BTreeSet<StateId> = [StateId(1)].into_iter().collect();
-        let mid = project(&n, |_, _, _| true, &q1);
-        assert!(mid.accepts(&[a]));
-        assert!(mid.accepts(&[a, b, b]));
-        assert!(!mid.accepts(&[a, c]));
-        // Keep nothing: empty language, but the state space survives.
-        let none = project(&n, |_, _, _| false, &BTreeSet::new());
-        assert_eq!(none.state_count(), n.state_count());
-        assert_eq!(none.transition_count(), 0);
-        assert!(!none.accepts(&[]));
     }
 }

@@ -43,13 +43,10 @@ pub mod system;
 
 pub use automaton::{PAutomaton, PState};
 pub use index::RuleIndex;
-pub use poststar::{poststar, poststar_multi_indexed_with_stats, MultiPoststar};
-pub use prestar::{prestar, prestar_multi_indexed_with_stats, MultiPrestar};
-pub use saturate::{
-    saturate_indexed_with_stats, saturate_multi_indexed_with_stats, Direction, MultiSaturation,
-    SaturationStats,
-};
-pub use scratch::{CriterionSet, SaturationScratch};
+pub use poststar::poststar;
+pub use prestar::prestar;
+pub use saturate::{saturate_indexed_with_stats, Direction, SaturationStats};
+pub use scratch::SaturationScratch;
 pub use system::{ControlLoc, Pds, Rhs, Rule};
 
 use std::fmt;
@@ -85,14 +82,6 @@ pub enum PdsError {
         /// Number of offending transitions.
         count: usize,
     },
-    /// A multi-criterion batch is wider than one criterion-mask word
-    /// ([`CriterionSet::MAX_MEMBERS`]), or empty. Callers chunk batches
-    /// before calling the engine, so this indicates a caller bug — but it
-    /// surfaces as a value to keep batch workers alive.
-    BadBatchWidth {
-        /// Number of member queries supplied.
-        members: usize,
-    },
 }
 
 impl fmt::Display for PdsError {
@@ -111,12 +100,6 @@ impl fmt::Display for PdsError {
                 f,
                 "query automaton has {count} transition(s) into control states; \
                  post* requires control states to be pure sources"
-            ),
-            PdsError::BadBatchWidth { members } => write!(
-                f,
-                "multi-criterion batch has {members} member(s); the engine supports \
-                 1..={} per saturation",
-                scratch::CriterionSet::MAX_MEMBERS
             ),
         }
     }

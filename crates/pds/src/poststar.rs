@@ -13,29 +13,18 @@
 //! fixed, so every id stays below a known bound.
 //!
 //! The engine itself lives in [`crate::saturate`], shared with
-//! [`crate::prestar`][mod@crate::prestar]; this module pins [`Direction::Forward`]. The
-//! multi-criterion entry point gives forward saturations the same one-pass
-//! bitset-masked batching the backward path has: pop rules emit ε
-//! transitions carrying the premise's mask, and ε-combinations intersect
-//! the masks of their two premises.
+//! [`crate::prestar`][mod@crate::prestar]; this module pins [`Direction::Forward`].
 
 use crate::automaton::PAutomaton;
 use crate::index::RuleIndex;
-use crate::saturate::{
-    saturate_indexed_with_stats, saturate_multi_indexed_with_stats, Direction, MultiSaturation,
-    SaturationStats,
-};
+use crate::saturate::{saturate_indexed_with_stats, Direction, SaturationStats};
 use crate::scratch::SaturationScratch;
 use crate::system::Pds;
 use crate::PdsError;
 
 /// Statistics from a [`poststar`] run. `query_transitions` counts the input
-/// automaton's transitions (summed over members for a multi run).
+/// automaton's transitions.
 pub type PoststarStats = SaturationStats;
-
-/// The result of one multi-criterion forward saturation
-/// ([`poststar_multi_indexed_with_stats`]).
-pub type MultiPoststar = MultiSaturation;
 
 /// Computes an automaton for `post*(L(query))`.
 ///
@@ -72,29 +61,9 @@ pub fn poststar_indexed_with_stats(
     saturate_indexed_with_stats(Direction::Forward, idx, query, scratch)
 }
 
-/// One-pass `post*` for up to [`crate::CriterionSet::MAX_MEMBERS`] criterion
-/// queries over the same PDS — the forward analog of
-/// [`crate::prestar_multi_indexed_with_stats`]. Phase-I states are shared
-/// across members (their numbering, by push pair, is identical in every
-/// member's solo run); see
-/// [`crate::saturate::saturate_multi_indexed_with_stats`].
-///
-/// # Errors
-///
-/// [`PdsError::BadBatchWidth`] for empty or >64-member batches, plus the
-/// per-member preconditions of [`poststar`].
-pub fn poststar_multi_indexed_with_stats(
-    idx: &RuleIndex,
-    queries: &[&PAutomaton],
-    scratch: &mut SaturationScratch,
-) -> Result<MultiPoststar, PdsError> {
-    saturate_multi_indexed_with_stats(Direction::Forward, idx, queries, scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::CriterionSet;
     use crate::system::ControlLoc;
     use specslice_fsa::Symbol;
 
@@ -294,181 +263,5 @@ mod tests {
         query.add_transition(query.control_state(p), None, query.control_state(p));
         let err = poststar(&pds, &query).unwrap_err();
         assert_eq!(err, PdsError::EpsilonInQuery { count: 1 });
-    }
-
-    /// Builds member `i`'s projection of a multi-criterion run: same state
-    /// space, only the transitions (including ε) whose mask contains `i`,
-    /// member finals.
-    fn project_member(multi: &MultiPoststar, i: usize) -> PAutomaton {
-        let n_controls = multi.automaton.control_count();
-        let mut proj = PAutomaton::new(n_controls);
-        for _ in n_controls..multi.automaton.state_count() as u32 {
-            proj.add_state();
-        }
-        for (f, l, t) in multi.automaton.transitions() {
-            if multi.mask_label(f, l, t).contains(i) {
-                proj.add_transition(f, l, t);
-            }
-        }
-        for &f in &multi.member_finals[i] {
-            proj.set_final(f);
-        }
-        proj
-    }
-
-    /// A word pool covering the alphabet up to length 3.
-    fn words(alphabet: &[Symbol]) -> Vec<Vec<Symbol>> {
-        let mut out = vec![vec![]];
-        for _ in 0..3 {
-            let mut next = Vec::new();
-            for w in &out {
-                for &s in alphabet {
-                    let mut w2 = w.clone();
-                    w2.push(s);
-                    next.push(w2);
-                }
-            }
-            out.extend(next);
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// The masked union saturation, projected per member, accepts exactly
-    /// the language of each member's solo saturation — on a PDS exercising
-    /// pop (ε creation), internal, push (Phase-I states), and
-    /// ε-combination across two control locations.
-    #[test]
-    fn multi_projections_match_solo_runs() {
-        let p = ControlLoc(0);
-        let q = ControlLoc(1);
-        let (a, b, c) = (sym(0), sym(1), sym(2));
-        let mut pds = Pds::new(2);
-        pds.add_push(p, a, p, b, a);
-        pds.add_push(p, b, q, c, b);
-        pds.add_internal(p, b, q, a);
-        pds.add_internal(q, c, p, a);
-        pds.add_pop(q, a, p);
-        pds.add_pop(p, c, q);
-        let idx = RuleIndex::new(&pds);
-
-        // Member queries of different shapes, including a chain.
-        let mut queries = Vec::new();
-        for target in [(p, a), (q, a), (q, c)] {
-            let mut query = PAutomaton::new(2);
-            let f = query.add_state();
-            query.add_transition(query.control_state(target.0), Some(target.1), f);
-            query.set_final(f);
-            queries.push(query);
-        }
-        let mut chain = PAutomaton::new(2);
-        let m1 = chain.add_state();
-        let m2 = chain.add_state();
-        chain.add_transition(chain.control_state(p), Some(b), m1);
-        chain.add_transition(m1, Some(a), m2);
-        chain.set_final(m2);
-        queries.push(chain);
-
-        let refs: Vec<&PAutomaton> = queries.iter().collect();
-        let mut scratch = SaturationScratch::default();
-        let multi = poststar_multi_indexed_with_stats(&idx, &refs, &mut scratch).unwrap();
-        assert!(multi.stats.transitions > 0);
-        assert_eq!(multi.member_finals.len(), refs.len());
-
-        for (i, query) in queries.iter().enumerate() {
-            let solo = poststar(&pds, query).unwrap();
-            let proj = project_member(&multi, i);
-            for loc in [p, q] {
-                for word in words(&[a, b, c]) {
-                    assert_eq!(
-                        solo.accepts(loc, &word),
-                        proj.accepts(loc, &word),
-                        "member {i}, ({loc:?}, {word:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A singleton batch carries the full mask on every transition
-    /// (including the ε ones pop rules create), and the projection is the
-    /// solo saturation itself.
-    #[test]
-    fn singleton_batch_mask_is_total() {
-        let p = ControlLoc(0);
-        let q = ControlLoc(1);
-        let (a, b) = (sym(0), sym(1));
-        let mut pds = Pds::new(2);
-        pds.add_push(p, a, p, b, a);
-        pds.add_internal(p, b, q, a);
-        pds.add_pop(q, a, p);
-        let mut query = PAutomaton::new(2);
-        let f = query.add_state();
-        query.add_transition(query.control_state(p), Some(a), f);
-        query.set_final(f);
-        let idx = RuleIndex::new(&pds);
-        let mut scratch = SaturationScratch::default();
-        let multi = poststar_multi_indexed_with_stats(&idx, &[&query], &mut scratch).unwrap();
-        let solo = poststar(&pds, &query).unwrap();
-        assert_eq!(multi.automaton.transition_count(), solo.transition_count());
-        let mut saw_epsilon = false;
-        for (f, l, t) in multi.automaton.transitions() {
-            saw_epsilon |= l.is_none();
-            assert_eq!(multi.mask_label(f, l, t), CriterionSet::singleton(0));
-        }
-        assert!(saw_epsilon, "pop rules must have created ε transitions");
-    }
-
-    /// Bad batch widths and malformed members surface as structured errors,
-    /// including the post*-specific into-control precondition.
-    #[test]
-    fn multi_validates_inputs() {
-        let p = ControlLoc(0);
-        let pds = Pds::new(1);
-        let idx = RuleIndex::new(&pds);
-        let mut scratch = SaturationScratch::default();
-        let err = poststar_multi_indexed_with_stats(&idx, &[], &mut scratch).unwrap_err();
-        assert_eq!(err, PdsError::BadBatchWidth { members: 0 });
-
-        let query = PAutomaton::new(1);
-        let mut bad = PAutomaton::new(1);
-        bad.add_transition(bad.control_state(p), Some(sym(0)), bad.control_state(p));
-        let err =
-            poststar_multi_indexed_with_stats(&idx, &[&query, &bad], &mut scratch).unwrap_err();
-        assert_eq!(err, PdsError::TransitionIntoControl { count: 1 });
-    }
-
-    /// The multi run's counters are reproducible: two identical runs (with
-    /// scratch reuse in between) report identical deterministic counters.
-    #[test]
-    fn multi_counters_are_deterministic() {
-        let p = ControlLoc(0);
-        let q = ControlLoc(1);
-        let (a, b, c) = (sym(0), sym(1), sym(2));
-        let mut pds = Pds::new(2);
-        pds.add_push(p, a, p, b, a);
-        pds.add_internal(p, b, q, a);
-        pds.add_pop(q, a, p);
-        pds.add_internal(q, c, p, c);
-        let idx = RuleIndex::new(&pds);
-        let mut queries = Vec::new();
-        for target in [(p, a), (q, c)] {
-            let mut query = PAutomaton::new(2);
-            let f = query.add_state();
-            query.add_transition(query.control_state(target.0), Some(target.1), f);
-            query.set_final(f);
-            queries.push(query);
-        }
-        let refs: Vec<&PAutomaton> = queries.iter().collect();
-        let mut scratch = SaturationScratch::default();
-        let first = poststar_multi_indexed_with_stats(&idx, &refs, &mut scratch).unwrap();
-        let second = poststar_multi_indexed_with_stats(&idx, &refs, &mut scratch).unwrap();
-        assert_eq!(
-            first.stats.rule_applications,
-            second.stats.rule_applications
-        );
-        assert_eq!(first.stats.peak_worklist, second.stats.peak_worklist);
-        assert_eq!(first.stats.transitions, second.stats.transitions);
     }
 }

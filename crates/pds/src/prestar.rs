@@ -25,10 +25,7 @@
 
 use crate::automaton::PAutomaton;
 use crate::index::RuleIndex;
-use crate::saturate::{
-    saturate_indexed_with_stats, saturate_multi_indexed_with_stats, Direction, MultiSaturation,
-    SaturationStats,
-};
+use crate::saturate::{saturate_indexed_with_stats, Direction, SaturationStats};
 use crate::scratch::SaturationScratch;
 use crate::system::Pds;
 use crate::PdsError;
@@ -37,10 +34,6 @@ use crate::PdsError;
 /// accounting; the counters feed the query benchmark's deterministic
 /// drift gate). `phase1_states` is always 0 for `pre*`.
 pub type PrestarStats = SaturationStats;
-
-/// The result of one multi-criterion backward saturation
-/// ([`prestar_multi_indexed_with_stats`]).
-pub type MultiPrestar = MultiSaturation;
 
 /// Computes an automaton for `pre*(L(query))`.
 ///
@@ -81,28 +74,9 @@ pub fn prestar_indexed_with_stats(
     saturate_indexed_with_stats(Direction::Backward, idx, query, scratch)
 }
 
-/// One-pass `pre*` for up to [`crate::CriterionSet::MAX_MEMBERS`] criterion
-/// queries over the same PDS — see
-/// [`crate::saturate::saturate_multi_indexed_with_stats`] for the masked
-/// union construction.
-///
-/// # Errors
-///
-/// [`PdsError::BadBatchWidth`] for empty or >64-member batches,
-/// [`PdsError::MissingControls`] / [`PdsError::EpsilonInQuery`] as for
-/// [`prestar`] (checked per member).
-pub fn prestar_multi_indexed_with_stats(
-    idx: &RuleIndex,
-    queries: &[&PAutomaton],
-    scratch: &mut SaturationScratch,
-) -> Result<MultiPrestar, PdsError> {
-    saturate_multi_indexed_with_stats(Direction::Backward, idx, queries, scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::CriterionSet;
     use crate::system::ControlLoc;
     use specslice_fsa::Symbol;
 
@@ -273,149 +247,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Builds member `i`'s projection of a multi-criterion run: same state
-    /// space, only the transitions whose mask contains `i`, member finals.
-    fn project_member(multi: &MultiPrestar, i: usize) -> PAutomaton {
-        let n_controls = multi.automaton.control_count();
-        let mut proj = PAutomaton::new(n_controls);
-        for _ in n_controls..multi.automaton.state_count() as u32 {
-            proj.add_state();
-        }
-        for (f, l, t) in multi.automaton.transitions() {
-            let sym = l.expect("pre* output is ε-free");
-            if multi.mask(f, sym, t).contains(i) {
-                proj.add_transition(f, Some(sym), t);
-            }
-        }
-        for &f in &multi.member_finals[i] {
-            proj.set_final(f);
-        }
-        proj
-    }
-
-    /// A word pool covering the alphabet up to length 3.
-    fn words(alphabet: &[Symbol]) -> Vec<Vec<Symbol>> {
-        let mut out = vec![vec![]];
-        for _ in 0..3 {
-            let mut next = Vec::new();
-            for w in &out {
-                for &s in alphabet {
-                    let mut w2 = w.clone();
-                    w2.push(s);
-                    next.push(w2);
-                }
-            }
-            out.extend(next);
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// The masked union saturation, projected per member, accepts exactly
-    /// the language of each member's solo saturation — on a PDS exercising
-    /// pop, internal, and push rules across two control locations.
-    #[test]
-    fn multi_projections_match_solo_runs() {
-        let p = ControlLoc(0);
-        let q = ControlLoc(1);
-        let (a, b, c) = (sym(0), sym(1), sym(2));
-        let mut pds = Pds::new(2);
-        pds.add_push(p, a, p, b, a);
-        pds.add_push(p, b, q, c, b);
-        pds.add_internal(p, b, q, a);
-        pds.add_internal(q, c, p, a);
-        pds.add_pop(q, a, p);
-        pds.add_pop(p, c, q);
-        let idx = RuleIndex::new(&pds);
-
-        // Four member queries of different shapes, including a chain and a
-        // control-state final.
-        let mut queries = Vec::new();
-        for target in [(p, a), (q, a), (q, c)] {
-            let mut query = PAutomaton::new(2);
-            let f = query.add_state();
-            query.add_transition(query.control_state(target.0), Some(target.1), f);
-            query.set_final(f);
-            queries.push(query);
-        }
-        let mut chain = PAutomaton::new(2);
-        let m1 = chain.add_state();
-        let m2 = chain.add_state();
-        chain.add_transition(chain.control_state(p), Some(b), m1);
-        chain.add_transition(m1, Some(a), m2);
-        chain.set_final(m2);
-        chain.set_final(chain.control_state(q));
-        queries.push(chain);
-
-        let refs: Vec<&PAutomaton> = queries.iter().collect();
-        let mut scratch = SaturationScratch::default();
-        let multi = prestar_multi_indexed_with_stats(&idx, &refs, &mut scratch).unwrap();
-        assert!(multi.stats.transitions > 0);
-        assert_eq!(multi.member_finals.len(), refs.len());
-
-        for (i, query) in queries.iter().enumerate() {
-            let solo = prestar(&pds, query).unwrap();
-            let proj = project_member(&multi, i);
-            for loc in [p, q] {
-                for word in words(&[a, b, c]) {
-                    assert_eq!(
-                        solo.accepts(loc, &word),
-                        proj.accepts(loc, &word),
-                        "member {i}, ({loc:?}, {word:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A singleton batch carries the full mask on every transition, and the
-    /// projection is the solo saturation itself.
-    #[test]
-    fn singleton_batch_mask_is_total() {
-        let p = ControlLoc(0);
-        let (a, b, c) = (sym(0), sym(1), sym(2));
-        let mut pds = Pds::new(1);
-        pds.add_push(p, a, p, b, c);
-        pds.add_pop(p, b, p);
-        let mut query = PAutomaton::new(1);
-        let f = query.add_state();
-        query.add_transition(query.control_state(p), Some(c), f);
-        query.set_final(f);
-        let idx = RuleIndex::new(&pds);
-        let mut scratch = SaturationScratch::default();
-        let multi = prestar_multi_indexed_with_stats(&idx, &[&query], &mut scratch).unwrap();
-        let solo = prestar(&pds, &query).unwrap();
-        assert_eq!(multi.automaton.transition_count(), solo.transition_count());
-        for (f, l, t) in multi.automaton.transitions() {
-            assert_eq!(multi.mask(f, l.unwrap(), t), CriterionSet::singleton(0));
-        }
-    }
-
-    /// Bad batch widths and malformed members surface as structured errors.
-    #[test]
-    fn multi_validates_inputs() {
-        let pds = Pds::new(1);
-        let idx = RuleIndex::new(&pds);
-        let mut scratch = SaturationScratch::default();
-        let err = prestar_multi_indexed_with_stats(&idx, &[], &mut scratch).unwrap_err();
-        assert_eq!(err, PdsError::BadBatchWidth { members: 0 });
-        assert!(err.to_string().contains("1..=64"), "{err}");
-
-        let query = PAutomaton::new(1);
-        let too_many: Vec<&PAutomaton> = (0..65).map(|_| &query).collect();
-        let err = prestar_multi_indexed_with_stats(&idx, &too_many, &mut scratch).unwrap_err();
-        assert_eq!(err, PdsError::BadBatchWidth { members: 65 });
-
-        let mut eps = PAutomaton::new(1);
-        let f = eps.add_state();
-        eps.add_transition(eps.control_state(ControlLoc(0)), None, f);
-        eps.set_final(f);
-        let err =
-            prestar_multi_indexed_with_stats(&idx, &[&query, &eps], &mut scratch).unwrap_err();
-        assert_eq!(err, PdsError::EpsilonInQuery { count: 1 });
     }
 
     /// The indexed entry point with a reused scratch answers a sequence of

@@ -124,173 +124,6 @@ impl RowTable {
     }
 }
 
-/// The batch members a saturation transition belongs to, as a bitset over
-/// member indices `0..64`.
-///
-/// The multi-criterion engine ([`crate::prestar_multi_indexed_with_stats`])
-/// labels every transition of the union saturation with the set of criteria
-/// whose solo `pre*` would have derived it. Member `i`'s query transitions
-/// seed with `singleton(i)`, pop-rule seeds (which fire unconditionally)
-/// carry [`CriterionSet::all`], and rule firings intersect their premises'
-/// masks — so bit `i` of a transition's mask is set iff the transition
-/// appears in criterion `i`'s solo saturation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct CriterionSet(pub u64);
-
-impl CriterionSet {
-    /// Widest batch one saturation can carry; larger batches are chunked
-    /// by the caller.
-    pub const MAX_MEMBERS: usize = 64;
-
-    /// The set containing only member `i`.
-    #[inline]
-    pub fn singleton(i: usize) -> Self {
-        debug_assert!(i < Self::MAX_MEMBERS);
-        CriterionSet(1u64 << i)
-    }
-
-    /// The set of all `n` members.
-    #[inline]
-    pub fn all(n: usize) -> Self {
-        debug_assert!(n <= Self::MAX_MEMBERS);
-        if n >= Self::MAX_MEMBERS {
-            CriterionSet(u64::MAX)
-        } else {
-            CriterionSet((1u64 << n) - 1)
-        }
-    }
-
-    /// Does the set contain member `i`?
-    #[inline]
-    pub fn contains(self, i: usize) -> bool {
-        debug_assert!(i < Self::MAX_MEMBERS);
-        self.0 & (1u64 << i) != 0
-    }
-
-    /// Set intersection.
-    #[inline]
-    pub fn and(self, other: Self) -> Self {
-        CriterionSet(self.0 & other.0)
-    }
-
-    /// Is the set empty?
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The members of the set, ascending.
-    #[inline]
-    pub fn members(self) -> impl Iterator<Item = usize> {
-        let mut bits = self.0;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                return None;
-            }
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            Some(i)
-        })
-    }
-}
-
-/// Criterion masks for the multi-criterion saturation: `(state, label, to)`
-/// → [`CriterionSet`], OR-accumulated as derivations land. Separate from
-/// [`RowTable`] so the solo engine pays nothing for it.
-#[derive(Debug, Default)]
-pub(crate) struct MaskTable {
-    map: FxHashMap<(u64, u32), u64>,
-}
-
-impl MaskTable {
-    pub(crate) fn reset(&mut self) {
-        self.map.clear();
-    }
-
-    /// ORs `mask` into the transition's set; `true` when the set grew.
-    pub(crate) fn or(&mut self, state: u32, label: u32, to: u32, mask: u64) -> bool {
-        let slot = self.map.entry((pack(state, label), to)).or_insert(0);
-        let grew = *slot | mask != *slot;
-        *slot |= mask;
-        grew
-    }
-
-    /// The mask recorded for `(state, label, to)` so far (empty if absent).
-    pub(crate) fn get(&self, state: u32, label: u32, to: u32) -> u64 {
-        self.map
-            .get(&(pack(state, label), to))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Recorded transitions.
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Retained capacity estimate.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.map.capacity() * 24
-    }
-}
-
-/// The pending-match table for push rules in the multi-criterion engine.
-/// Waiters record the first hop's identity `(control, symbol, hop1_from,
-/// hop1_label)` so its *current* mask can be intersected at completion
-/// time. Mask growth re-pops transitions, so registration must dedup.
-#[derive(Debug, Default)]
-pub(crate) struct PendMultiTable {
-    map: FxHashMap<u64, u32>,
-    lists: Vec<Vec<(u32, u32, u32, u32)>>,
-    live: usize,
-}
-
-impl PendMultiTable {
-    pub(crate) fn reset(&mut self) {
-        self.map.clear();
-        self.live = 0;
-    }
-
-    /// Registers a waiter for `(state, label)` unless already present.
-    pub(crate) fn push(&mut self, state: u32, label: u32, waiter: (u32, u32, u32, u32)) {
-        let id = *self.map.entry(pack(state, label)).or_insert_with(|| {
-            if self.live == self.lists.len() {
-                self.lists.push(Vec::new());
-            }
-            self.lists[self.live].clear();
-            self.live += 1;
-            (self.live - 1) as u32
-        });
-        let list = &mut self.lists[id as usize];
-        if !list.contains(&waiter) {
-            list.push(waiter);
-        }
-    }
-
-    /// The waiters registered for `(state, label)` so far.
-    pub(crate) fn waiters(&self, state: u32, label: u32) -> &[(u32, u32, u32, u32)] {
-        match self.map.get(&pack(state, label)) {
-            Some(&id) => &self.lists[id as usize],
-            None => &[],
-        }
-    }
-
-    /// Live waiter lists.
-    pub(crate) fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Retained capacity estimate (map slots + pooled waiter lists).
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.map.capacity() * 16
-            + self
-                .lists
-                .iter()
-                .map(|l| 24 + l.capacity() * 16)
-                .sum::<usize>()
-    }
-}
-
 /// The pending-match table for push rules: `(state, symbol)` → waiters
 /// `(control, symbol)` still needing a second hop. Pooled like [`RowTable`].
 #[derive(Debug, Default)]
@@ -365,14 +198,6 @@ pub struct SaturationScratch {
     pub(crate) tmp: Vec<u32>,
     /// Copy buffer for `(label, state)` pairs.
     pub(crate) tmp_pairs: Vec<(u32, u32)>,
-    /// Multi-criterion engine only: per-transition criterion masks.
-    pub(crate) masks: MaskTable,
-    /// Multi-criterion engine only: push-rule waiters with hop-1 identity.
-    pub(crate) pending_multi: PendMultiTable,
-    /// Copy buffer for `(target, mask)` pairs.
-    pub(crate) tmp_masked: Vec<(u32, u64)>,
-    /// Copy buffer for multi-engine waiter tuples.
-    pub(crate) tmp_waiters: Vec<(u32, u32, u32, u32)>,
 }
 
 impl SaturationScratch {
@@ -385,10 +210,6 @@ impl SaturationScratch {
         self.eps_into.reset(n_states as usize);
         self.tmp.clear();
         self.tmp_pairs.clear();
-        self.masks.reset();
-        self.pending_multi.reset();
-        self.tmp_masked.clear();
-        self.tmp_waiters.clear();
     }
 
     /// Retained capacity estimate: what a warm pooled scratch holds onto
@@ -399,12 +220,8 @@ impl SaturationScratch {
             + self.eps_into.approx_bytes()
             + self.worklist.capacity() * std::mem::size_of::<(u32, u32, u32)>()
             + self.pending.approx_bytes()
-            + self.pending_multi.approx_bytes()
-            + self.masks.approx_bytes()
             + self.tmp.capacity() * 4
             + self.tmp_pairs.capacity() * 8
-            + self.tmp_masked.capacity() * 16
-            + self.tmp_waiters.capacity() * 16
     }
 
     /// Peak live bump-arena bytes since this scratch was created (the
@@ -449,47 +266,6 @@ mod tests {
         assert_eq!(pend.waiters(2, 1), &[] as &[(u32, u32)]);
         pend.reset();
         assert_eq!(pend.waiters(1, 2), &[] as &[(u32, u32)]);
-    }
-
-    #[test]
-    fn criterion_set_algebra() {
-        assert_eq!(CriterionSet::singleton(0).0, 1);
-        assert_eq!(CriterionSet::singleton(63).0, 1 << 63);
-        assert_eq!(CriterionSet::all(0).0, 0);
-        assert_eq!(CriterionSet::all(3).0, 0b111);
-        assert_eq!(CriterionSet::all(64).0, u64::MAX);
-        assert!(CriterionSet::all(5).contains(4));
-        assert!(!CriterionSet::all(5).contains(5));
-        let meet = CriterionSet(0b110).and(CriterionSet(0b011));
-        assert_eq!(meet, CriterionSet(0b010));
-        assert!(CriterionSet(0b100).and(CriterionSet(0b011)).is_empty());
-    }
-
-    #[test]
-    fn mask_table_accumulates_and_reports_growth() {
-        let mut masks = MaskTable::default();
-        masks.reset();
-        assert!(masks.or(1, 2, 3, 0b01));
-        assert!(!masks.or(1, 2, 3, 0b01), "no growth on re-OR");
-        assert!(masks.or(1, 2, 3, 0b10));
-        assert_eq!(masks.get(1, 2, 3), 0b11);
-        assert_eq!(masks.get(1, 2, 4), 0);
-        assert_eq!(masks.len(), 1);
-        masks.reset();
-        assert_eq!(masks.get(1, 2, 3), 0);
-    }
-
-    #[test]
-    fn pend_multi_dedups_reregistration() {
-        let mut pend = PendMultiTable::default();
-        pend.reset();
-        pend.push(1, 2, (10, 11, 5, 6));
-        pend.push(1, 2, (10, 11, 5, 6));
-        pend.push(1, 2, (10, 11, 7, 6));
-        assert_eq!(pend.waiters(1, 2), &[(10, 11, 5, 6), (10, 11, 7, 6)]);
-        assert_eq!(pend.len(), 1);
-        pend.reset();
-        assert_eq!(pend.waiters(1, 2), &[] as &[(u32, u32, u32, u32)]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The `specslice-server` binary: parse flags, bind, serve until a client
 //! sends `shutdown`.
 
-use specslice::Solver;
 use specslice_server::{run, Bind, ServerConfig, DEFAULT_MAX_FRAME};
 use std::process::ExitCode;
 
@@ -23,8 +22,6 @@ OPTIONS:
     --threads N           worker threads per session batch (default: the
                           SPECSLICE_NUM_THREADS / available-parallelism
                           default)
-    --solver NAME         batch solver: one-pass | per-criterion (default:
-                          the SPECSLICE_SOLVER / one-pass default)
     --max-frame N         maximum request/response frame size in bytes
                           (default 16 MiB)
     --help                print this help
@@ -42,7 +39,6 @@ fn main() -> ExitCode {
     let mut snapshot_dir = None;
     let mut budget_bytes = None;
     let mut threads = None;
-    let mut solver = None;
     let mut max_frame = DEFAULT_MAX_FRAME;
 
     while let Some(arg) = args.next() {
@@ -69,17 +65,6 @@ fn main() -> ExitCode {
             {
                 Ok(Ok(v)) => threads = Some(v),
                 Ok(Err(e)) => return fail(&format!("--threads: {e}")),
-                Err(e) => return fail(&e),
-            },
-            "--solver" => match value("--solver") {
-                Ok(v) => match Solver::parse(&v) {
-                    Some(s) => solver = Some(s),
-                    None => {
-                        return fail(&format!(
-                            "--solver: `{v}` is not one of one-pass | per-criterion"
-                        ))
-                    }
-                },
                 Err(e) => return fail(&e),
             },
             "--max-frame" => match value("--max-frame").map(|v| v.parse::<usize>()) {
@@ -114,7 +99,6 @@ fn main() -> ExitCode {
         snapshot_dir,
         budget_bytes,
         threads,
-        solver,
         max_frame,
     };
     match run(config) {

@@ -36,7 +36,7 @@ use crate::proto::{
 };
 use crate::session::{Session, SessionManager};
 use specslice::{
-    Criterion, ProgramDelta, ProgramEdit, Sdg, SlicerConfig, Solver, SpecSlice, SpecializedProgram,
+    Criterion, ProgramDelta, ProgramEdit, Sdg, SlicerConfig, SpecSlice, SpecializedProgram,
 };
 use specslice_sdg::{CallSiteId, VertexId};
 use std::collections::BTreeMap;
@@ -72,9 +72,6 @@ pub struct ServerConfig {
     /// Worker threads per session's `slice_batch` (`None` = the
     /// `SPECSLICE_NUM_THREADS` / available-parallelism default).
     pub threads: Option<usize>,
-    /// Batch solver for every session (`None` = the `SPECSLICE_SOLVER` /
-    /// one-pass default).
-    pub solver: Option<Solver>,
     /// Maximum accepted frame payload size.
     pub max_frame: usize,
 }
@@ -87,7 +84,6 @@ impl ServerConfig {
             snapshot_dir: None,
             budget_bytes: None,
             threads: None,
-            solver: None,
             max_frame: DEFAULT_MAX_FRAME,
         }
     }
@@ -207,9 +203,6 @@ pub fn serve(config: ServerConfig) -> std::io::Result<Handle> {
     let mut slicer_config = SlicerConfig::default();
     if let Some(n) = config.threads {
         slicer_config.num_threads = n.max(1);
-    }
-    if let Some(s) = config.solver {
-        slicer_config.solver = s;
     }
     let threads = slicer_config.num_threads;
     let shutdown = Arc::new(AtomicBool::new(false));

@@ -1,7 +1,8 @@
-//! End-to-end persistence: snapshot → restart → query must round-trip
-//! byte-identically, eviction-triggered snapshots must warm later opens,
-//! and damaged snapshot files (truncated, corrupt, version-bumped) must
-//! degrade to structured cold opens — never an error, never a panic.
+//! End-to-end persistence: snapshot → restart → query (single queries and
+//! parallel batches) must round-trip byte-identically, eviction-triggered
+//! snapshots must warm later opens, and damaged snapshot files (truncated,
+//! corrupt, version-bumped) must degrade to structured cold opens — never
+//! an error, never a panic.
 
 use specslice_server::{serve, Bind, Client, Json, ServerConfig};
 use std::path::{Path, PathBuf};
@@ -399,6 +400,100 @@ fn forward_and_chop_entries_survive_restart_byte_identically() {
         .expect("warm chop");
     assert_eq!(warm_fwd, cold_fwd, "forward slice changed across restart");
     assert_eq!(warm_chop, cold_chop, "chop changed across restart");
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Snapshot → restart of batch-produced memo entries: a two-worker
+/// daemon answers a batch cold (the answers are adopted from the workers'
+/// shards into the session), shutdown persists the memo, and the restarted
+/// daemon answers the same batch warm with a byte-identical frame.
+#[test]
+fn batch_snapshot_round_trip_is_byte_identical() {
+    let dir = temp_dir("batch-roundtrip");
+
+    let batch_request = |client: &mut Client<std::net::TcpStream>, session: &str| {
+        let all_contexts = |v: i64| {
+            Json::obj([
+                ("kind", Json::str("all_contexts")),
+                ("vertices", Json::arr([Json::Int(v)])),
+            ])
+        };
+        client
+            .request_bytes(
+                "slice_batch",
+                [
+                    ("session", Json::str(session)),
+                    (
+                        "criteria",
+                        Json::arr([
+                            printf_criterion(),
+                            all_contexts(1),
+                            all_contexts(2),
+                            all_contexts(3),
+                        ]),
+                    ),
+                ],
+            )
+            .expect("slice_batch")
+    };
+    let boot = || {
+        let mut config = ServerConfig::new(Bind::Tcp("127.0.0.1:0".to_string()));
+        config.snapshot_dir = Some(dir.clone());
+        config.threads = Some(2);
+        let handle = serve(config).expect("bind");
+        let addr = handle.addr.clone();
+        (handle, addr)
+    };
+
+    let (handle, addr) = boot();
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let opened = open(&mut client, PROGRAM);
+    assert_eq!(opened.get("warm").and_then(Json::as_bool), Some(false));
+    let sid = session_id(&opened);
+    let cold = batch_request(&mut client, &sid);
+    let down = client.request("shutdown", []).expect("shutdown");
+    assert!(
+        down.get("snapshots_written")
+            .and_then(Json::as_i64)
+            .unwrap_or(0)
+            >= 1,
+        "shutdown wrote no snapshots: {}",
+        down.to_text()
+    );
+    handle.wait();
+
+    let (handle, addr) = boot();
+    let mut client = Client::connect_tcp(&addr).expect("reconnect");
+    let opened = open(&mut client, PROGRAM);
+    assert_eq!(
+        opened.get("warm").and_then(Json::as_bool),
+        Some(true),
+        "restart was not warm: {}",
+        opened.to_text()
+    );
+    assert!(
+        opened
+            .get("memo_imported")
+            .and_then(Json::as_i64)
+            .unwrap_or(0)
+            >= 4,
+        "expected all four batch entries back: {}",
+        opened.to_text()
+    );
+    let warm = batch_request(&mut client, &sid);
+    assert_eq!(warm, cold, "batch answer changed across restart");
+
+    let stats = client
+        .request("stats", [("session", Json::str(&sid))])
+        .expect("stats");
+    let hits = stats
+        .get("session_stats")
+        .and_then(|s| s.get("memo_hits"))
+        .and_then(Json::as_i64)
+        .unwrap_or(0);
+    assert!(hits >= 4, "expected memo hits after restart, got {hits}");
 
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);

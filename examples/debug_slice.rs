@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// the counting allocator when the `count-alloc` feature installed it.
 fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
     use specslice::encode::MAIN_CONTROL;
-    use specslice::{SlicerConfig, Solver};
+    use specslice::SlicerConfig;
     use specslice_bench::alloc_count as ac;
 
     println!("\n=== allocation report (scale 1k tier) ===");
@@ -155,7 +155,6 @@ fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
                 collect_stats: false,
                 memoize: false,
                 num_threads: 1,
-                solver: Solver::OnePass,
                 ..SlicerConfig::default()
             },
         )?)
@@ -187,8 +186,8 @@ fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
             .0
     });
     stage("cold: prestar saturation", d);
-    let (trimmed, d) = ac::measure(|| a1.to_nfa(MAIN_CONTROL).trimmed().0);
-    stage("cold: to_nfa + trim", d);
+    let (trimmed, d) = ac::measure(|| a1.trimmed_nfa(MAIN_CONTROL));
+    stage("cold: trimmed A1", d);
     let ((a6, mrd_stats), d) = ac::measure(|| specslice_fsa::mrd::mrd_with_stats(&trimmed));
     stage("cold: determinize + MRD", d);
     println!(

@@ -1,23 +1,18 @@
 //! Batch criterion dedup: every batch entry point answers each distinct
 //! criterion (by canonical memo key) once and fans the answer out to its
 //! duplicates in input order. Duplicate-heavy batches must render exactly
-//! what solo queries render, at every thread count and under both solvers;
+//! what solo queries render, at every thread count;
 //! the work counters must count only the distinct answers; and errors,
 //! raw-automaton criteria, and memo on/off must behave as if every
 //! duplicate had been answered on its own.
 
-use specslice::{
-    BatchResult, CalleeKind, Criterion, Slicer, SlicerConfig, Solver, SpecError, VertexId,
-};
+use specslice::{BatchResult, CalleeKind, Criterion, Slicer, SlicerConfig, SpecError, VertexId};
 use specslice_corpus::{scale_program, skewed_site_sample, ScaleConfig};
 use std::collections::HashSet;
 
-const SOLVERS: [Solver; 2] = [Solver::PerCriterion, Solver::OnePass];
-
-fn config(num_threads: usize, solver: Solver, memoize: bool) -> SlicerConfig {
+fn config(num_threads: usize, memoize: bool) -> SlicerConfig {
     SlicerConfig {
         num_threads,
-        solver,
         memoize,
         ..SlicerConfig::default()
     }
@@ -67,7 +62,7 @@ fn distinct_count(criteria: &[Criterion]) -> usize {
 }
 
 fn assert_batch_matches_solo(open: &dyn Fn(SlicerConfig) -> Slicer, label: &str, count: usize) {
-    let solo = open(config(1, Solver::PerCriterion, false));
+    let solo = open(config(1, false));
     let criteria = skewed(&solo, count);
     assert!(
         distinct_count(&criteria) < criteria.len(),
@@ -81,23 +76,21 @@ fn assert_batch_matches_solo(open: &dyn Fn(SlicerConfig) -> Slicer, label: &str,
         .iter()
         .map(|c| format!("{:?}", solo.forward_slice(c).unwrap()))
         .collect();
-    for solver in SOLVERS {
-        for threads in [1usize, 2, 4] {
-            let slicer = open(config(threads, solver, true));
-            let back = slicer.slice_batch(&criteria).unwrap();
-            let fwd = slicer.forward_slice_batch(&criteria).unwrap();
-            for i in 0..criteria.len() {
-                assert_eq!(
-                    format!("{:?}", back.slices[i]),
-                    want_back[i],
-                    "{label}: backward #{i} diverged ({solver:?}, {threads} threads)"
-                );
-                assert_eq!(
-                    format!("{:?}", fwd.slices[i]),
-                    want_fwd[i],
-                    "{label}: forward #{i} diverged ({solver:?}, {threads} threads)"
-                );
-            }
+    for threads in [1usize, 2, 4] {
+        let slicer = open(config(threads, true));
+        let back = slicer.slice_batch(&criteria).unwrap();
+        let fwd = slicer.forward_slice_batch(&criteria).unwrap();
+        for i in 0..criteria.len() {
+            assert_eq!(
+                format!("{:?}", back.slices[i]),
+                want_back[i],
+                "{label}: backward #{i} diverged ({threads} threads)"
+            );
+            assert_eq!(
+                format!("{:?}", fwd.slices[i]),
+                want_fwd[i],
+                "{label}: forward #{i} diverged ({threads} threads)"
+            );
         }
     }
 }
@@ -112,12 +105,11 @@ fn duplicate_heavy_batches_match_solo_queries_on_a_corpus_program() {
     assert_batch_matches_solo(&|c| corpus("print_tokens", c), "print_tokens", 40);
 }
 
-/// Under the per-criterion solver a batch runs exactly one saturation per
-/// distinct key, in both directions, whatever the memo setting, while its
+/// A batch runs exactly one saturation per distinct key, in both directions, whatever the memo setting, while its
 /// answer-size counters still sum over every input position.
 #[test]
 fn per_criterion_saturations_equal_distinct_keys() {
-    let solo = scale_1k(config(1, Solver::PerCriterion, false));
+    let solo = scale_1k(config(1, false));
     let criteria = skewed(&solo, 60);
     let distinct = distinct_count(&criteria);
     let (mut transitions, mut a1_transitions) = (0, 0);
@@ -128,7 +120,7 @@ fn per_criterion_saturations_equal_distinct_keys() {
     }
     for memoize in [false, true] {
         for threads in [1usize, 2] {
-            let slicer = scale_1k(config(threads, Solver::PerCriterion, memoize));
+            let slicer = scale_1k(config(threads, memoize));
             let back = slicer.slice_batch(&criteria).unwrap();
             assert_eq!(back.aggregate.prestar_transitions, transitions);
             assert_eq!(back.aggregate.a1_transitions, a1_transitions);
@@ -156,38 +148,36 @@ fn work(batch: &BatchResult) -> (usize, usize) {
 /// when the memo is on.
 #[test]
 fn memo_on_and_off_report_equal_work() {
-    for solver in SOLVERS {
-        for threads in [1usize, 2] {
-            let on = scale_1k(config(threads, solver, true));
-            let off = scale_1k(config(threads, solver, false));
-            let criteria = skewed(&on, 60);
-            let duplicates = criteria.len() - distinct_count(&criteria);
+    for threads in [1usize, 2] {
+        let on = scale_1k(config(threads, true));
+        let off = scale_1k(config(threads, false));
+        let criteria = skewed(&on, 60);
+        let duplicates = criteria.len() - distinct_count(&criteria);
 
-            let batch_on = on.slice_batch(&criteria).unwrap();
-            let batch_off = off.slice_batch(&criteria).unwrap();
-            assert_eq!(work(&batch_on), work(&batch_off), "{solver:?}, {threads}");
-            assert!(work(&batch_on).1 > 0);
-            assert_eq!(batch_on.aggregate.memo_hits_backward, duplicates);
-            assert_eq!(on.memo_hits(), duplicates);
-            assert_eq!(batch_off.aggregate.memo_hits_backward, 0);
-            assert_eq!(off.memo_hits(), 0);
-            assert_eq!(on.queries_run(), criteria.len());
-            assert_eq!(off.queries_run(), criteria.len());
+        let batch_on = on.slice_batch(&criteria).unwrap();
+        let batch_off = off.slice_batch(&criteria).unwrap();
+        assert_eq!(work(&batch_on), work(&batch_off), "{threads} threads");
+        assert!(work(&batch_on).1 > 0);
+        assert_eq!(batch_on.aggregate.memo_hits_backward, duplicates);
+        assert_eq!(on.memo_hits(), duplicates);
+        assert_eq!(batch_off.aggregate.memo_hits_backward, 0);
+        assert_eq!(off.memo_hits(), 0);
+        assert_eq!(on.queries_run(), criteria.len());
+        assert_eq!(off.queries_run(), criteria.len());
 
-            let replay = on.slice_batch(&criteria).unwrap();
-            assert_eq!(work(&replay), (0, 0), "{solver:?}: replays do no work");
-            assert_eq!(replay.aggregate.prestar_peak_worklist, 0);
-            assert_eq!(replay.aggregate.prestar_peak_bytes, 0);
-            assert_eq!(replay.aggregate.memo_hits_backward, criteria.len());
-            assert_eq!(
-                replay.aggregate.prestar_transitions, batch_on.aggregate.prestar_transitions,
-                "answer sizes survive the replay"
-            );
-            assert_eq!(
-                format!("{:?}", replay.slices),
-                format!("{:?}", batch_off.slices)
-            );
-        }
+        let replay = on.slice_batch(&criteria).unwrap();
+        assert_eq!(work(&replay), (0, 0), "replays do no work");
+        assert_eq!(replay.aggregate.prestar_peak_worklist, 0);
+        assert_eq!(replay.aggregate.prestar_peak_bytes, 0);
+        assert_eq!(replay.aggregate.memo_hits_backward, criteria.len());
+        assert_eq!(
+            replay.aggregate.prestar_transitions, batch_on.aggregate.prestar_transitions,
+            "answer sizes survive the replay"
+        );
+        assert_eq!(
+            format!("{:?}", replay.slices),
+            format!("{:?}", batch_off.slices)
+        );
     }
 }
 
@@ -208,36 +198,33 @@ const SRC: &str = r#"
 /// order, one with a repeat, are one key: one saturation, equal slices.
 #[test]
 fn reordered_and_repeated_configurations_collapse_to_one_key() {
-    for solver in SOLVERS {
-        let slicer = Slicer::from_source_with(SRC, config(1, solver, false)).unwrap();
-        let sdg = slicer.sdg();
-        let p = sdg.proc_named("p").unwrap();
-        let sites: Vec<_> = sdg
-            .call_sites
-            .iter()
-            .filter(|s| s.callee == CalleeKind::User(p.id))
-            .map(|s| s.id)
-            .collect();
-        assert_eq!(sites.len(), 2);
-        let a =
-            Criterion::Configurations(vec![(p.entry, vec![sites[0]]), (p.entry, vec![sites[1]])]);
-        let b = Criterion::Configurations(vec![
-            (p.entry, vec![sites[1]]),
-            (p.entry, vec![sites[0]]),
-            (p.entry, vec![sites[1]]),
-        ]);
-        let batch = slicer.slice_batch(&[a.clone(), b]).unwrap();
-        assert_eq!(batch.aggregate.saturations_run, 1, "{solver:?}");
-        assert_eq!(batch.per_thread.iter().map(|w| w.items).sum::<usize>(), 1);
-        assert_eq!(
-            format!("{:?}", batch.slices[0]),
-            format!("{:?}", batch.slices[1])
-        );
-        assert_eq!(
-            format!("{:?}", batch.slices[0]),
-            format!("{:?}", slicer.slice(&a).unwrap())
-        );
-    }
+    let slicer = Slicer::from_source_with(SRC, config(1, false)).unwrap();
+    let sdg = slicer.sdg();
+    let p = sdg.proc_named("p").unwrap();
+    let sites: Vec<_> = sdg
+        .call_sites
+        .iter()
+        .filter(|s| s.callee == CalleeKind::User(p.id))
+        .map(|s| s.id)
+        .collect();
+    assert_eq!(sites.len(), 2);
+    let a = Criterion::Configurations(vec![(p.entry, vec![sites[0]]), (p.entry, vec![sites[1]])]);
+    let b = Criterion::Configurations(vec![
+        (p.entry, vec![sites[1]]),
+        (p.entry, vec![sites[0]]),
+        (p.entry, vec![sites[1]]),
+    ]);
+    let batch = slicer.slice_batch(&[a.clone(), b]).unwrap();
+    assert_eq!(batch.aggregate.saturations_run, 1);
+    assert_eq!(batch.per_thread.iter().map(|w| w.items).sum::<usize>(), 1);
+    assert_eq!(
+        format!("{:?}", batch.slices[0]),
+        format!("{:?}", batch.slices[1])
+    );
+    assert_eq!(
+        format!("{:?}", batch.slices[0]),
+        format!("{:?}", slicer.slice(&a).unwrap())
+    );
 }
 
 fn reason(e: &SpecError) -> &str {
@@ -252,43 +239,41 @@ fn reason(e: &SpecError) -> &str {
 #[test]
 fn duplicate_failures_carry_their_own_index() {
     let bad = Criterion::vertex(VertexId(u32::MAX / 2));
-    for solver in SOLVERS {
-        for threads in [1usize, 2, 4] {
-            let slicer = Slicer::from_source_with(SRC, config(threads, solver, true)).unwrap();
-            let good: Vec<Criterion> = slicer
-                .sdg()
-                .printf_call_sites()
-                .map(|c| Criterion::AllContexts(c.actual_ins.clone()))
-                .collect();
-            let criteria: Vec<Criterion> = (0..10)
-                .map(|i| match i {
-                    3 | 7 => bad.clone(),
-                    _ => good[i % good.len()].clone(),
-                })
-                .collect();
-            let label = format!("{solver:?}, {threads} threads");
+    for threads in [1usize, 2, 4] {
+        let slicer = Slicer::from_source_with(SRC, config(threads, true)).unwrap();
+        let good: Vec<Criterion> = slicer
+            .sdg()
+            .printf_call_sites()
+            .map(|c| Criterion::AllContexts(c.actual_ins.clone()))
+            .collect();
+        let criteria: Vec<Criterion> = (0..10)
+            .map(|i| match i {
+                3 | 7 => bad.clone(),
+                _ => good[i % good.len()].clone(),
+            })
+            .collect();
+        let label = format!("{threads} threads");
 
-            let err = slicer.slice_batch(&criteria).unwrap_err();
-            assert!(reason(&err).contains("#3"), "{label}: {err:?}");
-            assert!(!reason(&err).contains("#7"), "{label}: {err:?}");
+        let err = slicer.slice_batch(&criteria).unwrap_err();
+        assert!(reason(&err).contains("#3"), "{label}: {err:?}");
+        assert!(!reason(&err).contains("#7"), "{label}: {err:?}");
 
-            let results = slicer.slice_batch_results(&criteria);
-            assert_eq!(results.len(), criteria.len());
-            for (i, result) in results.iter().enumerate() {
-                match (i, result) {
-                    (3 | 7, Err(e)) => {
-                        assert!(reason(e).contains(&format!("#{i}")), "{label}: {e:?}");
-                        let other = if i == 3 { "#7" } else { "#3" };
-                        assert!(!reason(e).contains(other), "{label}: {e:?}");
-                    }
-                    (3 | 7, Ok(_)) => panic!("{label}: #{i} must fail"),
-                    (_, Ok(slice)) => assert_eq!(
-                        format!("{slice:?}"),
-                        format!("{:?}", slicer.slice(&criteria[i]).unwrap()),
-                        "{label}: #{i}"
-                    ),
-                    (_, Err(e)) => panic!("{label}: #{i} failed: {e:?}"),
+        let results = slicer.slice_batch_results(&criteria);
+        assert_eq!(results.len(), criteria.len());
+        for (i, result) in results.iter().enumerate() {
+            match (i, result) {
+                (3 | 7, Err(e)) => {
+                    assert!(reason(e).contains(&format!("#{i}")), "{label}: {e:?}");
+                    let other = if i == 3 { "#7" } else { "#3" };
+                    assert!(!reason(e).contains(other), "{label}: {e:?}");
                 }
+                (3 | 7, Ok(_)) => panic!("{label}: #{i} must fail"),
+                (_, Ok(slice)) => assert_eq!(
+                    format!("{slice:?}"),
+                    format!("{:?}", slicer.slice(&criteria[i]).unwrap()),
+                    "{label}: #{i}"
+                ),
+                (_, Err(e)) => panic!("{label}: #{i} failed: {e:?}"),
             }
         }
     }
@@ -299,8 +284,7 @@ fn duplicate_failures_carry_their_own_index() {
 #[test]
 fn automaton_criteria_are_never_merged() {
     for memoize in [false, true] {
-        let slicer =
-            Slicer::from_source_with(SRC, config(1, Solver::PerCriterion, memoize)).unwrap();
+        let slicer = Slicer::from_source_with(SRC, config(1, memoize)).unwrap();
         let v = slicer.sdg().printf_actual_in_vertices()[0];
         let mut nfa = specslice_fsa::Nfa::new();
         let q1 = nfa.add_state();

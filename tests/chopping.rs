@@ -3,12 +3,12 @@
 //!
 //! The tentpole contract under test: `chop(s, t)` is byte-identical to
 //! intersecting `forward_slice(s)` and `slice(t)` on their canonical MRD
-//! automata and re-canonicalizing — at every thread count and under both
-//! batch solvers — and forward queries share the session's memo without
-//! colliding with backward entries for the same criterion.
+//! automata and re-canonicalizing — at every thread count — and forward
+//! queries share the session's memo without colliding with backward
+//! entries for the same criterion.
 
 use specslice::readout::QueryKind;
-use specslice::{Criterion, Slicer, SlicerConfig, Solver};
+use specslice::{Criterion, Slicer, SlicerConfig};
 use specslice_corpus::{random_program, GenConfig};
 use specslice_fsa::mrd;
 use specslice_fsa::ops::intersect;
@@ -142,10 +142,10 @@ fn forward_and_backward_memo_entries_do_not_collide() {
     assert_eq!(slicer.memo_len(), 2, "one entry per direction");
 }
 
-/// `forward_slice_batch` is byte-identical across both solvers and thread
-/// counts 1/2/4, and each batch member equals the single-query answer.
+/// `forward_slice_batch` is byte-identical across thread counts 1/2/4,
+/// and each batch member equals the single-query answer.
 #[test]
-fn forward_batch_is_solver_and_thread_invariant() {
+fn forward_batch_is_thread_invariant() {
     for seed in seeds(6, 523) {
         let src = random_program(seed, cfg());
         let reference = Slicer::from_source(&src).unwrap();
@@ -160,21 +160,18 @@ fn forward_batch_is_solver_and_thread_invariant() {
             .iter()
             .map(|c| format!("{:?}", reference.forward_slice(c).unwrap()))
             .collect();
-        for solver in [Solver::PerCriterion, Solver::OnePass] {
-            for threads in [1, 2, 4] {
-                let config = SlicerConfig {
-                    solver,
-                    num_threads: threads,
-                    ..SlicerConfig::default()
-                };
-                let slicer = Slicer::from_source_with(&src, config).unwrap();
-                let batch = slicer.forward_slice_batch(&criteria).unwrap();
-                let got: Vec<String> = batch.slices.iter().map(|s| format!("{s:?}")).collect();
-                assert_eq!(
-                    got, want,
-                    "forward batch diverges ({solver:?}, {threads} threads, seed {seed})"
-                );
-            }
+        for threads in [1, 2, 4] {
+            let config = SlicerConfig {
+                num_threads: threads,
+                ..SlicerConfig::default()
+            };
+            let slicer = Slicer::from_source_with(&src, config).unwrap();
+            let batch = slicer.forward_slice_batch(&criteria).unwrap();
+            let got: Vec<String> = batch.slices.iter().map(|s| format!("{s:?}")).collect();
+            assert_eq!(
+                got, want,
+                "forward batch diverges ({threads} threads, seed {seed})"
+            );
         }
     }
 }

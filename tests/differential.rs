@@ -1,46 +1,47 @@
-//! The solver differential contract: the one-pass multi-criterion solver
-//! must be observationally indistinguishable from the per-criterion oracle.
-//! Byte-identical slices, byte-identical memo contents (stats excluded —
-//! the whole point of one-pass is that the saturation accounting differs),
-//! byte-identical specialized programs, across every corpus program, the
-//! three feature grids, thread widths 1/2/4, and a seeded random sweep of
-//! criterion subsets.
-//!
-//! The contract is direction-generic: `SPECSLICE_QUERY_DIRECTION=forward`
-//! reruns every batch sweep through `forward_slice_batch` (`post*`)
-//! instead of `slice_batch` (`pre*`). CI's solver-matrix job crosses this
-//! variable with `SPECSLICE_SOLVER`, so all four solver × direction
-//! combinations get the oracle treatment; unset means backward.
+//! The batch contract: every batch entry point must answer exactly what
+//! one solo query per criterion answers. Byte-identical slices,
+//! byte-identical memo contents (the pipeline counters included — a batch
+//! saturates each distinct criterion once, just as the solo queries do),
+//! and byte-identical specialized programs, across every corpus program,
+//! the three feature grids, thread widths 1/2/4, both query directions,
+//! and a seeded random sweep of criterion subsets. The oracle is a
+//! 1-thread session answering `slice` / `forward_slice` one criterion at a
+//! time.
 
-use specslice::{BatchResult, Criterion, Slicer, SlicerConfig, Solver, SpecError};
+use specslice::{BatchResult, Criterion, Direction, Slicer, SlicerConfig, SpecError, SpecSlice};
 use specslice_corpus::rng::StdRng;
 use specslice_sdg::VertexId;
 
-fn session(src: &str, num_threads: usize, solver: Solver) -> Slicer {
+const DIRECTIONS: [Direction; 2] = [Direction::Backward, Direction::Forward];
+
+fn session(src: &str, num_threads: usize) -> Slicer {
     Slicer::from_source_with(
         src,
         SlicerConfig {
             num_threads,
-            solver,
             ..SlicerConfig::default()
         },
     )
     .unwrap()
 }
 
-/// `SPECSLICE_QUERY_DIRECTION=forward` flips the sweeps to `post*` (any
-/// other value, or unset, tests the backward batch path).
-fn forward_mode() -> bool {
-    std::env::var("SPECSLICE_QUERY_DIRECTION").is_ok_and(|v| v.trim() == "forward")
+/// One batch in direction `dir`.
+fn run_batch(slicer: &Slicer, dir: Direction, criteria: &[Criterion]) -> BatchResult {
+    match dir {
+        Direction::Backward => slicer.slice_batch(criteria).unwrap(),
+        Direction::Forward => slicer.forward_slice_batch(criteria).unwrap(),
+    }
 }
 
-/// One batch in the direction under test.
-fn run_batch(slicer: &Slicer, criteria: &[Criterion]) -> BatchResult {
-    if forward_mode() {
-        slicer.forward_slice_batch(criteria).unwrap()
-    } else {
-        slicer.slice_batch(criteria).unwrap()
-    }
+/// One solo query per criterion, in order, in direction `dir`.
+fn run_solo(slicer: &Slicer, dir: Direction, criteria: &[Criterion]) -> Vec<SpecSlice> {
+    criteria
+        .iter()
+        .map(|c| match dir {
+            Direction::Backward => slicer.slice(c).unwrap(),
+            Direction::Forward => slicer.forward_slice(c).unwrap(),
+        })
+        .collect()
 }
 
 /// Per-printf criteria — the paper's evaluation workload.
@@ -54,22 +55,34 @@ fn per_printf_criteria(slicer: &Slicer) -> Vec<Criterion> {
 
 /// `SpecSlice` holds only deterministic structure, so Debug is a faithful
 /// byte-level fingerprint.
-fn fingerprint(slices: &[specslice::SpecSlice]) -> String {
+fn fingerprint(slices: &[SpecSlice]) -> String {
     format!("{slices:?}")
 }
 
-/// Memo fingerprint *excluding* stats: keys, canonical A6 automata,
-/// variant metadata and content rows, and the main-variant index must all
-/// agree between solvers; the recorded saturation sizes legitimately
-/// differ (one union saturation vs many solo ones).
+/// Memo fingerprint: keys, canonical A6 automata, variant metadata and
+/// content rows, the main-variant index, and the deterministic pipeline
+/// counters each entry recorded (wall-clock excluded).
 fn memo_fingerprint(slicer: &Slicer) -> String {
     slicer
         .export_memo()
         .iter()
         .map(|e| {
+            let s = &e.stats;
             format!(
-                "{:?} | {:?} | {:?} | {:?}\n",
-                e.key, e.a6, e.variants, e.main_variant
+                "{:?} {:?} | {:?} | {:?} | {:?} | {:?}\n",
+                e.direction,
+                e.key,
+                e.a6,
+                e.variants,
+                e.main_variant,
+                (
+                    s.prestar_transitions,
+                    s.prestar_rule_applications,
+                    s.a1_states,
+                    s.a1_transitions,
+                    s.mrd.mrd_states,
+                    s.saturations_run,
+                ),
             )
         })
         .collect()
@@ -88,86 +101,75 @@ fn workloads() -> Vec<(String, String)> {
     out
 }
 
-/// Corpus + grids through both solvers at 1/2/4 threads: slices, memo
-/// contents, and the merged specialized program must be byte-identical.
+/// Corpus + grids, both directions, at 1/2/4 threads: batch slices and
+/// memo contents must be byte-identical to the solo oracle's, the batch
+/// must run one saturation per distinct criterion, and the merged
+/// specialized program must not depend on the thread count.
 #[test]
-fn one_pass_matches_per_criterion_oracle() {
+fn batches_match_solo_queries() {
     for (name, src) in workloads() {
-        let oracle = session(&src, 1, Solver::PerCriterion);
-        let per_printf = per_printf_criteria(&oracle);
+        let base = session(&src, 1);
+        let per_printf = per_printf_criteria(&base);
         let mut criteria = per_printf.clone();
-        criteria.push(Criterion::printf_actuals(oracle.sdg()));
-        let batch = run_batch(&oracle, &criteria);
-        let oracle_sats = batch.aggregate.saturations_run;
-        assert!(
-            oracle_sats >= 1 && oracle_sats <= criteria.len(),
-            "{name}: oracle ran {oracle_sats} saturations for {} criteria",
-            criteria.len()
-        );
-        let want_slices = fingerprint(&batch.slices);
-        let want_memo = memo_fingerprint(&oracle);
+        criteria.push(Criterion::printf_actuals(base.sdg()));
         // Specialize over the per-printf set only: for single-printf
         // programs the union criterion duplicates the lone member, which
         // `specialize_program` rejects by design.
-        let want_spec = oracle.specialize_program(&per_printf).unwrap();
+        let want_spec = base.specialize_program(&per_printf).unwrap();
 
-        for threads in [1, 2, 4] {
-            let slicer = session(&src, threads, Solver::OnePass);
-            let batch = run_batch(&slicer, &criteria);
-            let sats = batch.aggregate.saturations_run;
-            assert!(
-                sats <= oracle_sats,
-                "{name}: one-pass at {threads} threads ran {sats} saturations, \
-                 more than the oracle's {oracle_sats}"
-            );
-            if name.starts_with("grid") {
-                // Grid printfs all live in `main`: the whole batch collapses
-                // into ⌈n/64⌉ groups (64 is the bitset's member capacity).
+        for dir in DIRECTIONS {
+            let oracle = session(&src, 1);
+            let want_slices = fingerprint(&run_solo(&oracle, dir, &criteria));
+            let want_memo = memo_fingerprint(&oracle);
+            // The solo memo holds one entry per distinct criterion.
+            let distinct = oracle.memo_len();
+
+            for threads in [1, 2, 4] {
+                let slicer = session(&src, threads);
+                let batch = run_batch(&slicer, dir, &criteria);
                 assert_eq!(
-                    sats,
-                    criteria.len().div_ceil(64),
-                    "{name}: grid batch did not collapse into full-width groups"
+                    batch.aggregate.saturations_run, distinct,
+                    "{name} {dir}: {threads}-thread batch saturations"
                 );
                 assert_eq!(
-                    batch.aggregate.criteria_per_saturation,
-                    criteria.len().min(64)
+                    fingerprint(&batch.slices),
+                    want_slices,
+                    "{name} {dir}: batch slices diverged at {threads} threads"
                 );
+                assert_eq!(
+                    memo_fingerprint(&slicer),
+                    want_memo,
+                    "{name} {dir}: batch memo diverged at {threads} threads"
+                );
+                if dir == Direction::Backward {
+                    let spec = slicer.specialize_program(&per_printf).unwrap();
+                    assert_eq!(
+                        spec.source(),
+                        want_spec.source(),
+                        "{name}: specialized program diverged at {threads} threads"
+                    );
+                    assert_eq!(
+                        spec.merged_variant_count(),
+                        want_spec.merged_variant_count(),
+                        "{name}: merged variant count diverged at {threads} threads"
+                    );
+                }
             }
-            assert_eq!(
-                fingerprint(&batch.slices),
-                want_slices,
-                "{name}: one-pass slices diverged at {threads} threads"
-            );
-            assert_eq!(
-                memo_fingerprint(&slicer),
-                want_memo,
-                "{name}: one-pass memo diverged at {threads} threads"
-            );
-            let spec = slicer.specialize_program(&per_printf).unwrap();
-            assert_eq!(
-                spec.source(),
-                want_spec.source(),
-                "{name}: specialized program diverged at {threads} threads"
-            );
-            assert_eq!(
-                spec.merged_variant_count(),
-                want_spec.merged_variant_count(),
-                "{name}: merged variant count diverged at {threads} threads"
-            );
         }
     }
 }
 
 /// Seeded random criterion subsets: singleton vertices, cross-procedure
 /// all-contexts mixes, and the full union, drawn reproducibly from the
-/// corpus PRNG. Every batch must agree across solvers.
+/// corpus PRNG. Every 4-thread batch, in both directions, must agree with
+/// the solo oracle.
 #[test]
-fn random_criterion_subsets_agree_across_solvers() {
+fn random_criterion_subsets_match_solo_queries() {
     let mut rng = StdRng::seed_from_u64(0x5_11CE);
     for name in ["wc", "gzip", "replace"] {
         let prog = specslice_corpus::by_name(name).unwrap();
-        let oracle = session(prog.source, 1, Solver::PerCriterion);
-        let one_pass = session(prog.source, 4, Solver::OnePass);
+        let oracle = session(prog.source, 1);
+        let parallel = session(prog.source, 4);
         // Draw from statement/predicate vertices — the vertex kinds that
         // are well-formed slicing criteria (the idiom `properties.rs`
         // established for random seeds).
@@ -187,7 +189,7 @@ fn random_criterion_subsets_agree_across_solvers() {
         for round in 0..8 {
             let mut criteria: Vec<Criterion> = Vec::new();
             // A few random singletons (one vertex each, scattered across
-            // the program — grouping sees mixed owning procedures).
+            // the program).
             for _ in 0..rng.gen_range(1..=4usize) {
                 criteria.push(Criterion::vertex(draw(&mut rng)));
             }
@@ -200,59 +202,65 @@ fn random_criterion_subsets_agree_across_solvers() {
                 criteria.push(Criterion::printf_actuals(oracle.sdg()));
             }
 
-            let want = fingerprint(&run_batch(&oracle, &criteria).slices);
-            let got = fingerprint(&run_batch(&one_pass, &criteria).slices);
-            assert_eq!(got, want, "{name}: random round {round} diverged");
+            for dir in DIRECTIONS {
+                let want = fingerprint(&run_solo(&oracle, dir, &criteria));
+                let got = fingerprint(&run_batch(&parallel, dir, &criteria).slices);
+                assert_eq!(got, want, "{name} {dir}: random round {round} diverged");
+            }
         }
     }
 }
 
 /// The duplicate-criteria guard in `specialize_program` rejects the same
-/// input with the same error under both solvers — the validation layer sits
-/// above solver dispatch and must not be bypassed by grouping.
+/// input with the same error at every thread count — the validation layer
+/// sits above the batch and must not be bypassed by its dedup.
 #[test]
 fn duplicate_criteria_rejected_identically() {
     let prog = specslice_corpus::by_name("wc").unwrap();
-    for solver in [Solver::PerCriterion, Solver::OnePass] {
-        let slicer = session(prog.source, 2, solver);
+    for threads in [1, 2, 4] {
+        let slicer = session(prog.source, threads);
         let good = per_printf_criteria(&slicer);
         let criteria = vec![good[0].clone(), good[1].clone(), good[0].clone()];
         let err = slicer.specialize_program(&criteria).unwrap_err();
         match err {
             SpecError::BadCriterion { reason } => {
-                assert!(reason.contains("duplicate"), "{solver:?}: {reason}");
-                assert!(reason.contains("#2"), "{solver:?}: {reason}");
+                assert!(reason.contains("duplicate"), "{threads} threads: {reason}");
+                assert!(reason.contains("#2"), "{threads} threads: {reason}");
             }
-            other => panic!("{solver:?}: expected BadCriterion, got {other:?}"),
+            other => panic!("{threads} threads: expected BadCriterion, got {other:?}"),
         }
     }
 }
 
-/// Criterion order within a batch is reflected positionally, not through
-/// group planning: a permuted batch returns the permuted slices under both
-/// solvers.
+/// Criterion order within a batch is reflected positionally: a permuted
+/// batch returns the permuted solo answers, in both directions.
 #[test]
 fn permuted_batches_answer_positionally() {
     let prog = specslice_corpus::by_name("print_tokens").unwrap();
-    let oracle = session(prog.source, 1, Solver::PerCriterion);
-    let one_pass = session(prog.source, 2, Solver::OnePass);
+    let oracle = session(prog.source, 1);
+    let parallel = session(prog.source, 2);
     let criteria = per_printf_criteria(&oracle);
     assert!(criteria.len() >= 3);
     let mut permuted = criteria.clone();
     permuted.rotate_left(1);
 
-    let want: Vec<String> = run_batch(&oracle, &permuted)
-        .slices
-        .iter()
-        .map(|s| format!("{s:?}"))
-        .collect();
-    let got: Vec<String> = run_batch(&one_pass, &permuted)
-        .slices
-        .iter()
-        .map(|s| format!("{s:?}"))
-        .collect();
-    assert_eq!(got, want);
-    // And the rotation really did permute the answers.
-    let straight = run_batch(&one_pass, &criteria).slices;
-    assert_eq!(format!("{:?}", straight[0]), got[criteria.len() - 1]);
+    for dir in DIRECTIONS {
+        let want: Vec<String> = run_solo(&oracle, dir, &permuted)
+            .iter()
+            .map(|s| format!("{s:?}"))
+            .collect();
+        let got: Vec<String> = run_batch(&parallel, dir, &permuted)
+            .slices
+            .iter()
+            .map(|s| format!("{s:?}"))
+            .collect();
+        assert_eq!(got, want, "{dir}");
+        // And the rotation really did permute the answers.
+        let straight = run_batch(&parallel, dir, &criteria).slices;
+        assert_eq!(
+            format!("{:?}", straight[0]),
+            got[criteria.len() - 1],
+            "{dir}"
+        );
+    }
 }

@@ -377,22 +377,18 @@ fn random_programs_survive_edits_at_every_thread_count() {
     }
 }
 
-/// One-pass incremental re-slicing: a feature-grid session under
-/// [`Solver::OnePass`] runs an edit script through `apply_edit`, and each
-/// re-slice must (a) keep every untouched feature's memo entry and answer
-/// it as a hit, (b) pay exactly one fresh saturation for the dropped
-/// criteria (they all live in `main`, so they re-group), and (c) stay
-/// byte-identical to a *fresh per-criterion* session on the edited program
-/// — the incremental one-pass path diffed against the cold oracle.
+/// Incremental batch re-slicing: a 2-thread feature-grid session runs an
+/// edit script through `apply_edit`, and each re-slice must (a) keep every
+/// untouched feature's memo entry and answer it as a hit, (b) pay exactly
+/// one fresh saturation, for the one dropped criterion, and (c) stay
+/// byte-identical to a fresh 1-thread session on the edited program.
 #[test]
-fn one_pass_edit_script_matches_fresh_per_criterion_sessions() {
-    use specslice::Solver;
+fn grid_edit_script_matches_fresh_sessions() {
     let src = specslice_corpus::feature_grid(12);
     let mut slicer = Slicer::from_source_with(
         &src,
         SlicerConfig {
             num_threads: 2,
-            solver: Solver::OnePass,
             ..SlicerConfig::default()
         },
     )
@@ -400,10 +396,7 @@ fn one_pass_edit_script_matches_fresh_per_criterion_sessions() {
     let criteria = per_printf(&slicer);
     assert!(criteria.len() >= 12);
     let batch = slicer.slice_batch(&criteria).unwrap();
-    assert_eq!(
-        batch.aggregate.saturations_run, 1,
-        "grid batch must share one saturation"
-    );
+    assert_eq!(batch.aggregate.saturations_run, criteria.len());
     assert_eq!(slicer.memo_len(), criteria.len());
 
     for func in ["step3", "step7", "run11"] {
@@ -419,7 +412,7 @@ fn one_pass_edit_script_matches_fresh_per_criterion_sessions() {
         let hits_before = slicer.memo_hits();
         let batch = slicer.slice_batch(&criteria).unwrap();
         // Kept entries replay from the memo; the lone dropped criterion
-        // re-saturates solo.
+        // re-saturates.
         assert_eq!(
             slicer.memo_hits() - hits_before,
             criteria.len() - 1,
@@ -430,12 +423,11 @@ fn one_pass_edit_script_matches_fresh_per_criterion_sessions() {
             "{func}: only the invalidated criterion re-saturates"
         );
 
-        // Diff against a fresh per-criterion session on the edited program.
+        // Diff against a fresh session on the edited program.
         let fresh = Slicer::from_program_with(
             slicer.program().unwrap().clone(),
             SlicerConfig {
                 num_threads: 1,
-                solver: Solver::PerCriterion,
                 ..SlicerConfig::default()
             },
         )
@@ -443,7 +435,7 @@ fn one_pass_edit_script_matches_fresh_per_criterion_sessions() {
         assert_eq!(
             format!("{:?}", batch.slices),
             format!("{:?}", fresh.slice_batch(&criteria).unwrap().slices),
-            "{func}: incremental one-pass diverged from the cold oracle"
+            "{func}: incremental re-slice diverged from a fresh session"
         );
         assert_eq!(slicer.memo_len(), criteria.len(), "{func}: memo refilled");
     }

@@ -1,12 +1,12 @@
 //! Properties of the scale-corpus generator (`specslice_corpus::scale_program`):
 //! every generated program front-ends cleanly (parse + sema, after the §6.2
 //! indirect-call lowering its fnptr webs require), and batches over skewed
-//! criterion samples are byte-identical across thread counts and solvers.
-//! The full per-criterion ⇄ one-pass differential runs on the smallest tier
+//! criterion samples are byte-identical across thread counts and to solo
+//! queries. The full batch ⇄ solo differential runs on the smallest shape
 //! only, to keep CI time bounded; larger shapes check structure and sampled
 //! agreement.
 
-use specslice::{Criterion, Slicer, SlicerConfig, Solver};
+use specslice::{Criterion, Slicer, SlicerConfig};
 use specslice_corpus::{scale_program, skewed_site_sample, ScaleConfig};
 
 /// Small-tier shapes exercising every generator feature: mutual-recursion
@@ -47,7 +47,7 @@ fn shapes() -> Vec<(u64, ScaleConfig)> {
     ]
 }
 
-fn session(source: &str, num_threads: usize, solver: Solver) -> Slicer {
+fn session(source: &str, num_threads: usize) -> Slicer {
     let program = specslice_lang::frontend(source).expect("scale programs front-end cleanly");
     let lowered =
         specslice::indirect::lower_indirect_calls(&program).expect("indirect lowering succeeds");
@@ -56,7 +56,6 @@ fn session(source: &str, num_threads: usize, solver: Solver) -> Slicer {
         SlicerConfig {
             collect_stats: false,
             num_threads,
-            solver,
             ..SlicerConfig::default()
         },
     )
@@ -91,7 +90,7 @@ fn scale_programs_frontend_cleanly_and_deterministically() {
             scale_program(seed, cfg),
             "seed {seed}: generation must be deterministic"
         );
-        let slicer = session(&source, 1, Solver::OnePass);
+        let slicer = session(&source, 1);
         assert!(
             slicer.sdg().printf_call_sites().count() > 0,
             "seed {seed}: criterion sites exist"
@@ -99,71 +98,68 @@ fn scale_programs_frontend_cleanly_and_deterministically() {
     }
 }
 
-/// Batches are byte-identical at 1/2/4 threads under BOTH solvers, on every
-/// shape. The 1-thread one-pass run is the reference all five other legs
-/// must reproduce exactly.
+/// Batches are byte-identical at 1/2/4 threads on every shape; the
+/// 1-thread run is the reference.
 #[test]
-fn scale_batches_identical_across_threads_and_solvers() {
+fn scale_batches_identical_across_threads() {
     for (seed, cfg) in shapes() {
         let source = scale_program(seed, cfg);
         let reference = {
-            let slicer = session(&source, 1, Solver::OnePass);
+            let slicer = session(&source, 1);
             let criteria = skewed_criteria(&slicer, 20, seed ^ 7);
             fingerprint(&slicer.slice_batch(&criteria).unwrap().slices)
         };
-        for solver in [Solver::OnePass, Solver::PerCriterion] {
-            for threads in [1, 2, 4] {
-                let slicer = session(&source, threads, solver);
-                let criteria = skewed_criteria(&slicer, 20, seed ^ 7);
-                assert_eq!(
-                    fingerprint(&slicer.slice_batch(&criteria).unwrap().slices),
-                    reference,
-                    "seed {seed}: {solver:?} at {threads} threads diverged"
-                );
-            }
-        }
-    }
-}
-
-/// Sampled solver agreement on every shape: single-criterion slices from a
-/// per-criterion session equal the one-pass batch's corresponding entries.
-#[test]
-fn sampled_criteria_agree_between_solvers() {
-    for (seed, cfg) in shapes() {
-        let source = scale_program(seed, cfg);
-        let onepass = session(&source, 1, Solver::OnePass);
-        let criteria = skewed_criteria(&onepass, 12, seed.wrapping_mul(31) + 1);
-        let batch = onepass.slice_batch(&criteria).unwrap();
-        let reference = session(&source, 1, Solver::PerCriterion);
-        for (i, criterion) in criteria.iter().enumerate().step_by(3) {
-            let solo = reference.slice(criterion).unwrap();
+        for threads in [2, 4] {
+            let slicer = session(&source, threads);
+            let criteria = skewed_criteria(&slicer, 20, seed ^ 7);
             assert_eq!(
-                format!("{:?}", batch.slices[i].a6),
-                format!("{:?}", solo.a6),
-                "seed {seed}: criterion {i} MRD automaton diverged between solvers"
+                fingerprint(&slicer.slice_batch(&criteria).unwrap().slices),
+                reference,
+                "seed {seed}: batch at {threads} threads diverged"
             );
         }
     }
 }
 
-/// Full differential on the smallest shape only: every printf site, both
-/// solvers, slice-for-slice.
+/// Sampled agreement on every shape: single-criterion slices from a fresh
+/// session equal the batch's corresponding entries.
+#[test]
+fn sampled_batch_entries_match_solo_queries() {
+    for (seed, cfg) in shapes() {
+        let source = scale_program(seed, cfg);
+        let batched = session(&source, 1);
+        let criteria = skewed_criteria(&batched, 12, seed.wrapping_mul(31) + 1);
+        let batch = batched.slice_batch(&criteria).unwrap();
+        let reference = session(&source, 1);
+        for (i, criterion) in criteria.iter().enumerate().step_by(3) {
+            let solo = reference.slice(criterion).unwrap();
+            assert_eq!(
+                format!("{:?}", batch.slices[i]),
+                format!("{solo:?}"),
+                "seed {seed}: criterion {i} diverged from its solo query"
+            );
+        }
+    }
+}
+
+/// Full differential on the smallest shape only: every printf site,
+/// batch against solo queries, slice-for-slice.
 #[test]
 fn full_differential_on_smallest_tier() {
     let (seed, cfg) = shapes().remove(0);
     let source = scale_program(seed, cfg);
-    let a = session(&source, 1, Solver::OnePass);
-    let b = session(&source, 1, Solver::PerCriterion);
-    let criteria: Vec<Criterion> = a
+    let batched = session(&source, 1);
+    let solo = session(&source, 1);
+    let criteria: Vec<Criterion> = batched
         .sdg()
         .printf_call_sites()
         .map(|c| Criterion::AllContexts(c.actual_ins.clone()))
         .collect();
-    let batch_a = a.slice_batch(&criteria).unwrap();
-    let batch_b = b.slice_batch(&criteria).unwrap();
+    let batch = batched.slice_batch(&criteria).unwrap();
+    let want: Vec<_> = criteria.iter().map(|c| solo.slice(c).unwrap()).collect();
     assert_eq!(
-        fingerprint(&batch_a.slices),
-        fingerprint(&batch_b.slices),
-        "one-pass and per-criterion solvers diverged on the full site set"
+        fingerprint(&batch.slices),
+        fingerprint(&want),
+        "batch and solo queries diverged on the full site set"
     );
 }
