@@ -6,7 +6,7 @@ use specslice::encode::MAIN_CONTROL;
 use specslice::{criteria, Criterion, Slicer};
 use specslice_bench::timer;
 use specslice_fsa::mrd;
-use specslice_pds::prestar;
+use specslice_pds::{prestar, saturate_a1_with_stats, Direction, SaturationScratch};
 
 fn main() {
     println!("{}", timer::header());
@@ -38,12 +38,21 @@ fn bench_mrd() {
         let enc = slicer.encoding();
         let criterion = Criterion::printf_actuals(slicer.sdg());
         let query = criteria::query_automaton(slicer.sdg(), enc, &criterion).unwrap();
-        let a1_trim = prestar(&enc.pds, &query)
-            .expect("well-formed query")
-            .trimmed_nfa(MAIN_CONTROL);
+        let mut sat = SaturationScratch::default();
+        let (a1, _) = saturate_a1_with_stats(
+            Direction::Backward,
+            &enc.index,
+            &query,
+            MAIN_CONTROL,
+            &mut sat,
+        )
+        .expect("well-formed query");
         println!(
             "{}",
-            timer::run(&format!("mrd/pipeline/{name}"), 20, || mrd::mrd(&a1_trim)).row()
+            timer::run(&format!("mrd/pipeline/{name}"), 20, || {
+                mrd::mrd_of_transposed(a1)
+            })
+            .row()
         );
     }
 }

@@ -9,8 +9,8 @@ pub mod timer;
 
 use specslice::encode::MAIN_CONTROL;
 use specslice::{criteria, Criterion, PipelineStats, Slicer, SpecSlice};
-use specslice_fsa::mrd::mrd_with_stats;
-use specslice_pds::prestar::prestar_with_stats;
+use specslice_fsa::mrd::mrd_of_transposed;
+use specslice_pds::{saturate_a1_with_stats, Direction, SaturationScratch};
 use specslice_sdg::VertexId;
 use std::time::{Duration, Instant};
 
@@ -79,9 +79,16 @@ pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
         let enc = slicer.encoding();
         let query = criteria::query_automaton(sdg, enc, &criterion).expect("criterion");
         let ta = Instant::now();
-        let (a1, _) = prestar_with_stats(&enc.pds, &query).expect("well-formed query");
-        let a1_trim = a1.trimmed_nfa(MAIN_CONTROL);
-        let (a6, _) = mrd_with_stats(&a1_trim);
+        let mut sat = SaturationScratch::default();
+        let (a1, _) = saturate_a1_with_stats(
+            Direction::Backward,
+            &enc.index,
+            &query,
+            MAIN_CONTROL,
+            &mut sat,
+        )
+        .expect("well-formed query");
+        let (a6, _) = mrd_of_transposed(a1);
         let automata_time = ta.elapsed();
 
         let closure = specslice_sdg::slice::backward_closure_slice(sdg, &cv);

@@ -274,9 +274,14 @@ pub struct PipelineStats {
     /// Peak saturation worklist depth (deterministic for a given build).
     /// `0` on memo hits and fanned-out batch duplicates.
     pub prestar_peak_worklist: usize,
-    /// States of the trimmed `A1`.
+    /// States of the trimmed `A1`: the saturated language read from
+    /// `main`'s control location, written straight from the saturation
+    /// rows (`specslice_pds::saturate_a1_with_stats`). The count is that
+    /// of `to_nfa(MAIN_CONTROL).trimmed()`, so it includes the initial
+    /// state even when the language is empty.
     pub a1_states: usize,
-    /// Transitions of the trimmed `A1`.
+    /// Transitions of the trimmed `A1`, ε-transitions included (forward
+    /// queries have them).
     pub a1_transitions: usize,
     /// MRD pipeline statistics (`determinize` / `minimize` sizes).
     pub mrd: MrdStats,

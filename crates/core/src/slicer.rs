@@ -31,10 +31,10 @@ use crate::reslice::{self, ResliceReport};
 use crate::store::{StoreStats, VariantId, VariantStore};
 use crate::{feature_removal, PipelineStats, SpecError};
 use specslice_exec::{Pool, WorkerStats};
-use specslice_fsa::mrd::mrd_with_stats;
+use specslice_fsa::mrd::{mrd_of_transposed, mrd_with_stats};
 use specslice_fsa::Nfa;
 use specslice_lang::Program;
-use specslice_pds::{saturate_indexed_with_stats, Direction, PAutomaton, SaturationScratch};
+use specslice_pds::{saturate_a1_with_stats, Direction, PAutomaton, SaturationScratch};
 use specslice_sdg::build::build_sdg;
 use specslice_sdg::{CallSiteId, Sdg, VertexId};
 use std::borrow::Cow;
@@ -1151,7 +1151,8 @@ fn set_memo_counters(stats: &mut PipelineStats, dir: Direction, hit: bool) {
 }
 
 /// The criterion-dependent tail of Alg. 1: saturation (`Prestar` backward,
-/// `Poststar` forward) → trim → MRD → read-out. Shared by the session
+/// `Poststar` forward) → trimmed `A1`, built from the saturation rows →
+/// MRD → read-out. Shared by the session
 /// methods and the one-shot [`crate::specialize`]. The slice's content is
 /// interned into `store`.
 pub(crate) fn run_query(
@@ -1187,10 +1188,11 @@ pub(crate) fn run_query_in(
     scratch: &mut QueryScratch,
     store: &Arc<VariantStore>,
 ) -> Result<(SpecSlice, PipelineStats), SpecError> {
-    let (a1, satstats) = saturate_indexed_with_stats(dir, &enc.index, query, &mut scratch.sat)
-        .map_err(|e| SpecError::pds(dir_stage(dir), e))?;
-    let a1_trim = a1.trimmed_nfa(MAIN_CONTROL);
-    let (a6, mrd_stats) = mrd_with_stats(&a1_trim);
+    let (a1, satstats) =
+        saturate_a1_with_stats(dir, &enc.index, query, MAIN_CONTROL, &mut scratch.sat)
+            .map_err(|e| SpecError::pds(dir_stage(dir), e))?;
+    let (a1_states, a1_transitions) = (a1.state_count(), a1.transition_count());
+    let (a6, mrd_stats) = mrd_of_transposed(a1);
     let slice = readout::read_out_in(
         sdg,
         enc,
@@ -1206,8 +1208,8 @@ pub(crate) fn run_query_in(
         prestar_peak_bytes: satstats.peak_bytes,
         prestar_rule_applications: satstats.rule_applications,
         prestar_peak_worklist: satstats.peak_worklist,
-        a1_states: a1_trim.state_count(),
-        a1_transitions: a1_trim.transition_count(),
+        a1_states,
+        a1_transitions,
         mrd: mrd_stats,
         saturations_run: 1,
         criteria_per_saturation: 1,

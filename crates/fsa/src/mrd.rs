@@ -26,6 +26,13 @@ use std::collections::VecDeque;
 /// count, which the evaluation section compares against the minimized size
 /// (§4.2's "determinize output shrinks by 4.4–34%" observation).
 pub fn mrd_with_stats(a1: &Nfa) -> (Nfa, MrdStats) {
+    mrd_of_transposed(&TransposedNfa::from_nfa(a1))
+}
+
+/// [`mrd_with_stats`] over an `A1` already in transposed form — the entry
+/// the query pipeline uses, since it builds each query's `A1` straight
+/// from the saturation rows into a reused [`TransposedNfa`].
+pub fn mrd_of_transposed(a1: &TransposedNfa) -> (Nfa, MrdStats) {
     // `determinize(reverse(a1))`, fused — the reversed NFA is never
     // materialized. ε-transitions in `a1` (always present in forward/post*
     // pipelines, possible for library callers) are closed in place during
@@ -202,6 +209,114 @@ fn reverse_trim_canonical(dfa: &Dfa) -> Option<Nfa> {
     Some(out)
 }
 
+/// An automaton stored as its incoming edges in compressed-sparse-row form:
+/// the presentation the fused `determinize(reverse(A1))` reads, since a
+/// state's successors in the reversal are its predecessors here. State 0
+/// is the initial state.
+///
+/// The query pipeline builds every query's `A1` straight into one of these
+/// (`specslice_pds::saturate_a1_with_stats`), reusing its buffers from one
+/// query to the next; [`TransposedNfa::from_nfa`] converts any [`Nfa`].
+#[derive(Clone, Debug, Default)]
+pub struct TransposedNfa {
+    /// `inc[inc_off[q]..inc_off[q + 1]]` are the labeled edges into `q`,
+    /// as `(symbol, source)`.
+    inc_off: Vec<u32>,
+    inc: Vec<(Symbol, StateId)>,
+    /// `eps_inc[eps_off[q]..eps_off[q + 1]]` are the sources of the
+    /// ε-edges into `q` — the ε-successors of `q` in the reversal.
+    eps_off: Vec<u32>,
+    eps_inc: Vec<u32>,
+    /// Accepting states, sorted and duplicate-free.
+    finals: Vec<u32>,
+}
+
+impl TransposedNfa {
+    /// The transposed form of `a`: same states, same edges, same finals.
+    pub fn from_nfa(a: &Nfa) -> TransposedNfa {
+        let mut t = TransposedNfa::default();
+        t.rebuild(a.state_count(), a.finals().iter().copied(), || {
+            a.transitions()
+        });
+        t
+    }
+
+    /// Replaces the contents with the automaton over states
+    /// `0..n_states` whose accepting states are `finals` and whose edges
+    /// are the ones `edges()` yields, each once. `edges` is called twice —
+    /// a count pass, then a fill pass — and must yield the same edges both
+    /// times. The buffers are reused, so a warm value rebuilds without
+    /// allocating.
+    pub fn rebuild<I>(
+        &mut self,
+        n_states: usize,
+        finals: impl IntoIterator<Item = StateId>,
+        edges: impl Fn() -> I,
+    ) where
+        I: Iterator<Item = (StateId, Option<Symbol>, StateId)>,
+    {
+        // Count pass, inclusive prefix sums (`off[q]` = end of row `q`),
+        // then a fill pass that decrements each row's end down to its
+        // start — no cursor array needed.
+        for off in [&mut self.inc_off, &mut self.eps_off] {
+            off.clear();
+            off.resize(n_states + 1, 0);
+        }
+        let (inc_off, eps_off) = (&mut self.inc_off, &mut self.eps_off);
+        for (_, l, t) in edges() {
+            match l {
+                Some(_) => inc_off[t.index()] += 1,
+                None => eps_off[t.index()] += 1,
+            }
+        }
+        for i in 1..=n_states {
+            inc_off[i] += inc_off[i - 1];
+            eps_off[i] += eps_off[i - 1];
+        }
+        self.inc.clear();
+        self.inc
+            .resize(inc_off[n_states] as usize, (Symbol(0), StateId(0)));
+        self.eps_inc.clear();
+        self.eps_inc.resize(eps_off[n_states] as usize, 0);
+        for (f, l, t) in edges() {
+            match l {
+                Some(s) => {
+                    inc_off[t.index()] -= 1;
+                    self.inc[inc_off[t.index()] as usize] = (s, f);
+                }
+                None => {
+                    eps_off[t.index()] -= 1;
+                    self.eps_inc[eps_off[t.index()] as usize] = f.0;
+                }
+            }
+        }
+        self.finals.clear();
+        self.finals.extend(finals.into_iter().map(|q| q.0));
+        self.finals.sort_unstable();
+        self.finals.dedup();
+    }
+
+    /// Number of states.
+    pub fn state_count(&self) -> usize {
+        self.inc_off.len().saturating_sub(1)
+    }
+
+    /// Number of transitions (including ε).
+    pub fn transition_count(&self) -> usize {
+        self.inc.len() + self.eps_inc.len()
+    }
+
+    /// Retained capacity in bytes.
+    pub fn approx_bytes(&self) -> usize {
+        (self.inc_off.capacity()
+            + self.eps_off.capacity()
+            + self.eps_inc.capacity()
+            + self.finals.capacity())
+            * 4
+            + self.inc.capacity() * std::mem::size_of::<(Symbol, StateId)>()
+    }
+}
+
 /// `Dfa::determinize(&reverse(a1))` in one pass: the subset construction
 /// runs directly over `a1`'s transposed adjacency, so the reversed NFA is
 /// never materialized. The reversal's ε-transitions come from two sources,
@@ -219,46 +334,16 @@ fn reverse_trim_canonical(dfa: &Dfa) -> Option<Nfa> {
 /// add the same members (the reversal never gains an ε *into* its fresh
 /// initial, so the sentinel stays confined to the start subset), and the
 /// worklist is driven the same — so even the output's state numbering
-/// matches.
-fn determinize_reversed(a1: &Nfa) -> Dfa {
+/// matches. Nothing depends on the order of the edges within a row.
+fn determinize_reversed(a1: &TransposedNfa) -> Dfa {
     let n = a1.state_count();
-    // Transposed adjacency in CSR form (count pass, prefix sums, fill
-    // pass): the query pipeline runs this on thousands of small automata
-    // per batch, and per-state `Vec` rows would pay one heap allocation
-    // per state with an incoming edge — the CSR pays six, total.
-    let mut inc_off: Vec<u32> = vec![0; n + 1];
-    let mut eps_off: Vec<u32> = vec![0; n + 1];
-    for (_, l, t) in a1.transitions() {
-        match l {
-            Some(_) => inc_off[t.index() + 1] += 1,
-            None => eps_off[t.index() + 1] += 1,
-        }
-    }
-    for i in 0..n {
-        inc_off[i + 1] += inc_off[i];
-        eps_off[i + 1] += eps_off[i];
-    }
-    let mut inc: Vec<(Symbol, StateId)> =
-        vec![(Symbol(0), StateId(0)); *inc_off.last().unwrap() as usize];
-    // ε-successors *in the reversal*: reversed state q steps by ε to every
-    // a1-state with an ε-edge into q.
-    let mut eps_inc: Vec<u32> = vec![0; *eps_off.last().unwrap() as usize];
-    let mut inc_cur = inc_off.clone();
-    let mut eps_cur = eps_off.clone();
-    for (f, l, t) in a1.transitions() {
-        match l {
-            Some(s) => {
-                let at = &mut inc_cur[t.index()];
-                inc[*at as usize] = (s, f);
-                *at += 1;
-            }
-            None => {
-                let at = &mut eps_cur[t.index()];
-                eps_inc[*at as usize] = f.0;
-                *at += 1;
-            }
-        }
-    }
+    let TransposedNfa {
+        inc_off,
+        inc,
+        eps_off,
+        eps_inc,
+        finals,
+    } = a1;
     const SENTINEL: u32 = u32::MAX;
     let mut mark = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
@@ -292,7 +377,7 @@ fn determinize_reversed(a1: &Nfa) -> Dfa {
         }
     };
     let mut dfa = Dfa::new();
-    let initial = a1.initial().0;
+    let initial = 0;
     // Start subset = ε-closure of the reversal's fresh initial: the finals
     // (via the ε-bridge), their closure over flipped ε-edges, and the fresh
     // initial itself. Subsets are sorted dense id vectors; `close` sorts
@@ -303,7 +388,7 @@ fn determinize_reversed(a1: &Nfa) -> Dfa {
     // distinct subset exactly once, at its final size. A reused `targets`
     // buffer stands in for the per-symbol-group temporary, so the subset
     // construction's steady state allocates only on genuinely new subsets.
-    let mut targets: Vec<u32> = a1.finals().iter().map(|q| q.0).collect();
+    let mut targets: Vec<u32> = finals.clone();
     close(&mut targets, &mut mark, &mut stack);
     targets.push(SENTINEL);
     let mut subset_ids: FxHashMap<Vec<u32>, StateId> = FxHashMap::default();
@@ -602,7 +687,7 @@ mod tests {
     /// The fused subset construction must match the unfused oracle bit for
     /// bit: same state numbering, same finals, same transition list.
     fn assert_fused_matches_oracle(a1: &Nfa) {
-        let fused = determinize_reversed(a1);
+        let fused = determinize_reversed(&TransposedNfa::from_nfa(a1));
         let oracle = Dfa::determinize(&reverse(a1));
         assert_eq!(fused.state_count(), oracle.state_count(), "state count");
         assert_eq!(fused.initial(), oracle.initial(), "initial");

@@ -5,6 +5,7 @@ use crate::dfa::Dfa;
 use crate::hash::FxHashMap;
 use crate::nfa::{Nfa, StateId};
 use crate::Symbol;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Reverses an automaton: `L(reverse(A)) = { wᴿ | w ∈ L(A) }`.
@@ -53,11 +54,24 @@ pub fn remove_epsilon(nfa: &Nfa) -> Nfa {
     out
 }
 
+/// `nfa` itself when it has no ε-transition — [`remove_epsilon`] would
+/// return an identical copy — else its ε-free equivalent. The product
+/// constructions below take their operands through this, so a session's
+/// cached reachable automaton (a minimized DFA) is borrowed by every
+/// all-contexts query instead of being copied into it.
+fn without_epsilon(nfa: &Nfa) -> Cow<'_, Nfa> {
+    if nfa.transitions().any(|(_, l, _)| l.is_none()) {
+        Cow::Owned(remove_epsilon(nfa))
+    } else {
+        Cow::Borrowed(nfa)
+    }
+}
+
 /// Intersection by product construction. Handles ε-transitions by removing
 /// them first.
 pub fn intersect(a: &Nfa, b: &Nfa) -> Nfa {
-    let a = remove_epsilon(a);
-    let b = remove_epsilon(b);
+    let a = without_epsilon(a);
+    let b = without_epsilon(b);
     // Sorted successor rows of `b`, built once: product states re-visit the
     // same `b` state many times, and a binary-searched row replaces the
     // symbol map the old implementation rebuilt on every visit.
@@ -117,7 +131,7 @@ pub fn intersect(a: &Nfa, b: &Nfa) -> Nfa {
 /// what keeps Alg. 2's `… ∩ complement(determinize(A0))` feasible over SDG
 /// alphabets with tens of thousands of symbols.
 pub fn difference(a: &Nfa, b: &Dfa) -> Nfa {
-    let a = remove_epsilon(a);
+    let a = without_epsilon(a);
     let mut out = Nfa::new();
     let mut ids: FxHashMap<(StateId, Option<StateId>), StateId> = FxHashMap::default();
     let start = (a.initial(), Some(b.initial()));
@@ -259,15 +273,7 @@ mod tests {
     fn intersect_is_conjunction() {
         // L1 = a b* c, L2 = words of even length. Intersection: a b^(2k) c.
         let (a, b, c) = (sym(0), sym(1), sym(2));
-        let mut even = Nfa::new();
-        let e0 = even.initial();
-        let e1 = even.add_state();
-        for s in [a, b, c] {
-            even.add_transition(e0, Some(s), e1);
-            even.add_transition(e1, Some(s), e0);
-        }
-        even.set_final(e0);
-        let i = intersect(&abc(), &even);
+        let i = intersect(&abc(), &even());
         assert!(i.accepts(&[a, c]));
         assert!(i.accepts(&[a, b, b, c]));
         assert!(!i.accepts(&[a, b, c]));
@@ -314,6 +320,58 @@ mod tests {
         // inverse relabel maps back (many-to-one with singleton preimages)
         let back = relabel_inverse(&shifted, |s| vec![Symbol(s.0 - 10)]);
         assert!(equivalent(&n, &back));
+    }
+
+    /// Words of even length over `{a, b, c}`.
+    fn even() -> Nfa {
+        let mut even = Nfa::new();
+        let e1 = even.add_state();
+        for s in [sym(0), sym(1), sym(2)] {
+            even.add_transition(even.initial(), Some(s), e1);
+            even.add_transition(e1, Some(s), even.initial());
+        }
+        even.set_final(even.initial());
+        even
+    }
+
+    /// `a b* c` again, with an ε-hop after the `a`.
+    fn abc_eps() -> Nfa {
+        let mut n = Nfa::new();
+        let q1 = n.add_state();
+        let q2 = n.add_state();
+        let q3 = n.add_state();
+        n.add_transition(n.initial(), Some(sym(0)), q1);
+        n.add_transition(q1, None, q2);
+        n.add_transition(q2, Some(sym(1)), q2);
+        n.add_transition(q2, Some(sym(2)), q3);
+        n.set_final(q3);
+        n
+    }
+
+    #[test]
+    fn borrowed_operands_match_epsilon_removed_ones() {
+        // Before operands were borrowed, both went through `remove_epsilon`
+        // unconditionally. Passing them through it first reproduces that
+        // (the results are ε-free, so they are borrowed as they are), and
+        // borrowing the originals must give the same products.
+        for free in [abc(), even()] {
+            assert_eq!(format!("{:?}", remove_epsilon(&free)), format!("{free:?}"));
+        }
+        let pairs = [
+            (abc(), even()),
+            (abc_eps(), even()),
+            (even(), abc_eps()),
+            (abc_eps(), abc_eps()),
+        ];
+        for (a, b) in &pairs {
+            let owned = intersect(&remove_epsilon(a), &remove_epsilon(b));
+            assert_eq!(format!("{:?}", intersect(a, b)), format!("{owned:?}"));
+            let db = Dfa::determinize(b);
+            let owned = difference(&remove_epsilon(a), &db);
+            assert_eq!(format!("{:?}", difference(a, &db)), format!("{owned:?}"));
+        }
+        assert!(intersect(&abc_eps(), &even()).accepts(&[sym(0), sym(2)]));
+        assert!(!difference(&abc_eps(), &Dfa::determinize(&abc())).accepts(&[sym(0), sym(2)]));
     }
 
     #[test]

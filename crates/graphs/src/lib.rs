@@ -7,7 +7,6 @@
 //!
 //! * dominator / postdominator trees ([`dominators`], iterative
 //!   Cooper–Harvey–Kennedy),
-//! * strongly connected components ([`scc`], Tarjan),
 //! * reachability and traversal orders ([`reach`]).
 //!
 //! # Example
@@ -25,8 +24,6 @@
 pub mod digraph;
 pub mod dominators;
 pub mod reach;
-pub mod scc;
 
 pub use digraph::{DiGraph, NodeId};
 pub use dominators::DominatorTree;
-pub use scc::Sccs;

@@ -49,6 +49,8 @@ pub struct BumpLists<T> {
     live: u32,
     /// Peak of `live` since creation.
     high_water: u32,
+    /// Items pushed in the current run, over all lists.
+    items: usize,
 }
 
 impl<T: Copy + Default + PartialEq> BumpLists<T> {
@@ -60,6 +62,7 @@ impl<T: Copy + Default + PartialEq> BumpLists<T> {
         self.tails.clear();
         self.tails.resize(n_lists, NONE);
         self.live = 0;
+        self.items = 0;
     }
 
     /// Number of lists in the current run.
@@ -67,8 +70,14 @@ impl<T: Copy + Default + PartialEq> BumpLists<T> {
         self.heads.len()
     }
 
+    /// Items pushed in the current run, over all lists.
+    pub fn item_count(&self) -> usize {
+        self.items
+    }
+
     /// Appends `item` to `list`.
     pub fn push(&mut self, list: u32, item: T) {
+        self.items += 1;
         let tail = self.tails[list as usize];
         if tail != NONE {
             let c = &mut self.chunks[tail as usize];
@@ -162,6 +171,7 @@ mod tests {
             vec![100, 103, 106, 109, 112, 115, 118, 121, 124, 127]
         );
         assert_eq!(lists.iter(0).count(), 0);
+        assert_eq!(lists.item_count(), 40);
         assert!(lists.contains(1, 17));
         assert!(!lists.contains(1, 99));
     }
@@ -180,6 +190,7 @@ mod tests {
         // previous contents do not leak.
         lists.reset(1);
         assert_eq!(lists.iter(0).count(), 0);
+        assert_eq!(lists.item_count(), 0);
         lists.push(0, (7, 7));
         assert_eq!(lists.iter(0).collect::<Vec<_>>(), vec![(7, 7)]);
         assert_eq!(lists.approx_bytes(), cap);

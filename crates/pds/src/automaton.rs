@@ -181,80 +181,6 @@ impl PAutomaton {
         nfa
     }
 
-    /// [`PAutomaton::to_nfa`] followed by [`Nfa::trimmed`], without
-    /// materializing the untrimmed automaton: the reach-from-`p` and
-    /// co-reach-to-a-final passes run over this automaton's own rows, and
-    /// only the transitions between useful states are copied into the
-    /// result. A saturation holds hundreds of transitions of which an `A1`
-    /// typically keeps a few dozen, so this is what the query pipeline
-    /// materializes.
-    ///
-    /// The result is the very automaton `to_nfa(p).trimmed().0` builds:
-    /// the same state numbering (initial 0, then the kept states in
-    /// ascending order), transitions in the same order, and the same
-    /// finals.
-    pub fn trimmed_nfa(&self, p: ControlLoc) -> Nfa {
-        let n = self.state_count();
-        let pstate = self.control_state(p);
-        // `to_nfa`'s initial state is a copy of `p` that nothing enters, so
-        // a state is reachable iff it lies at least one step beyond `p`:
-        // the walk starts at `p` without marking it.
-        let mut reach = vec![false; n];
-        let mut work = vec![pstate];
-        while let Some(q) = work.pop() {
-            for &(_, t) in self.transitions_from(q) {
-                if !reach[t.index()] {
-                    reach[t.index()] = true;
-                    work.push(t);
-                }
-            }
-        }
-        // Co-reachability over the reachable part only: a kept state must
-        // be both, and a reachable state's successors are reachable too.
-        let mut into: Vec<Vec<PState>> = vec![Vec::new(); n];
-        for (from, _, to) in self.transitions() {
-            if reach[from.index()] {
-                into[to.index()].push(from);
-            }
-        }
-        let mut keep = vec![false; n];
-        work.extend(self.finals.iter().filter(|f| reach[f.index()]));
-        for &f in &work {
-            keep[f.index()] = true;
-        }
-        while let Some(q) = work.pop() {
-            for &s in &into[q.index()] {
-                if !keep[s.index()] {
-                    keep[s.index()] = true;
-                    work.push(s);
-                }
-            }
-        }
-
-        let mut nfa = Nfa::new();
-        let map: Vec<Option<specslice_fsa::StateId>> =
-            keep.iter().map(|&k| k.then(|| nfa.add_state())).collect();
-        for &(sym, to) in self.transitions_from(pstate) {
-            if let Some(t) = map[to.index()] {
-                nfa.add_transition(nfa.initial(), sym, t);
-            }
-        }
-        for (from, sym, to) in self.transitions() {
-            if let (Some(f), Some(t)) = (map[from.index()], map[to.index()]) {
-                nfa.add_transition(f, sym, t);
-            }
-        }
-        for &f in &self.finals {
-            if f == pstate {
-                nfa.set_final(nfa.initial());
-            }
-            if let Some(q) = map[f.index()] {
-                nfa.set_final(q);
-            }
-        }
-        nfa
-    }
-
     /// Approximate retained bytes (Fig. 22 accounting).
     pub fn approx_bytes(&self) -> usize {
         self.seen.len() * std::mem::size_of::<(PState, Option<Symbol>, PState)>() * 2
@@ -319,91 +245,6 @@ mod tests {
         assert!(aut.accepts(p, &[]));
         let nfa = aut.to_nfa(p);
         assert!(nfa.accepts(&[]));
-    }
-
-    /// `trimmed_nfa(p)` is `to_nfa(p).trimmed().0`: same language, same
-    /// sizes, and in fact the same automaton (rendered identically).
-    fn assert_trims_like_to_nfa(aut: &PAutomaton, p: ControlLoc) {
-        let reference = aut.to_nfa(p).trimmed().0;
-        let direct = aut.trimmed_nfa(p);
-        assert!(specslice_fsa::ops::equivalent(&direct, &reference));
-        assert_eq!(direct.state_count(), reference.state_count());
-        assert_eq!(direct.transition_count(), reference.transition_count());
-        assert_eq!(format!("{direct:?}"), format!("{reference:?}"));
-    }
-
-    #[test]
-    fn trimmed_nfa_matches_to_nfa_then_trim() {
-        let (p, q) = (ControlLoc(0), ControlLoc(1));
-        let (a, b, c) = (Symbol(0), Symbol(1), Symbol(2));
-
-        // `p` final, with a loop back into `p` (so `p`'s own state is
-        // reachable from the initial copy) and a path on to another final.
-        let mut aut = PAutomaton::new(2);
-        let m = aut.add_state();
-        let ps = aut.control_state(p);
-        aut.set_final(ps);
-        aut.add_transition(ps, Some(a), ps);
-        aut.add_transition(ps, Some(b), m);
-        aut.set_final(m);
-        assert_trims_like_to_nfa(&aut, p);
-        assert_trims_like_to_nfa(&aut, q);
-
-        // A dead initial state: nothing reachable from `p` reaches a final.
-        let mut dead = PAutomaton::new(2);
-        let sink = dead.add_state();
-        let f = dead.add_state();
-        dead.add_transition(dead.control_state(p), Some(a), sink);
-        dead.add_transition(sink, Some(b), sink);
-        dead.add_transition(dead.control_state(q), Some(c), f);
-        dead.set_final(f);
-        assert_trims_like_to_nfa(&dead, p);
-        assert!(dead.trimmed_nfa(p).is_empty_language());
-        assert_trims_like_to_nfa(&dead, q);
-
-        // Unreachable states (a final one among them) and reachable states
-        // that cannot reach a final, interleaved in state order.
-        let mut mixed = PAutomaton::new(2);
-        let s: Vec<PState> = (0..6).map(|_| mixed.add_state()).collect();
-        let ps = mixed.control_state(p);
-        mixed.add_transition(ps, Some(a), s[1]);
-        mixed.add_transition(ps, Some(b), s[3]);
-        mixed.add_transition(s[1], Some(c), s[4]);
-        mixed.add_transition(s[1], Some(a), s[2]);
-        mixed.add_transition(s[2], Some(a), s[2]);
-        mixed.add_transition(s[3], Some(b), s[4]);
-        mixed.add_transition(s[0], Some(a), s[4]);
-        mixed.add_transition(s[0], Some(b), s[5]);
-        mixed.add_transition(mixed.control_state(q), Some(c), s[0]);
-        mixed.set_final(s[4]);
-        mixed.set_final(s[5]);
-        assert_trims_like_to_nfa(&mixed, p);
-        assert_trims_like_to_nfa(&mixed, q);
-        let trimmed = mixed.trimmed_nfa(p);
-        assert_eq!(trimmed.state_count(), 4, "initial, s1, s3, s4");
-        assert_eq!(trimmed.transition_count(), 4);
-
-        // ε-transitions as `post*` emits them: pop rules leave ε moves out
-        // of the intermediate controls, push rules add Phase-I states.
-        let mut pds = crate::Pds::new(2);
-        pds.add_push(p, a, p, b, a);
-        pds.add_internal(p, b, q, a);
-        pds.add_pop(q, a, p);
-        pds.add_internal(q, c, q, b);
-        let mut query = PAutomaton::new(2);
-        let f = query.add_state();
-        let g = query.add_state();
-        query.add_transition(query.control_state(p), Some(a), f);
-        query.add_transition(query.control_state(q), Some(c), g);
-        query.set_final(f);
-        query.set_final(g);
-        let post = crate::poststar(&pds, &query).unwrap();
-        assert!(post.transitions().any(|(_, l, _)| l.is_none()));
-        assert_trims_like_to_nfa(&post, p);
-        assert_trims_like_to_nfa(&post, q);
-        let pre = crate::prestar(&pds, &query).unwrap();
-        assert_trims_like_to_nfa(&pre, p);
-        assert_trims_like_to_nfa(&pre, q);
     }
 
     #[test]

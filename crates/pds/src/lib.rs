@@ -32,6 +32,7 @@
 //! assert!(result.accepts(p, &[a, a, a]));
 //! ```
 
+mod a1;
 pub mod arena;
 pub mod automaton;
 pub mod index;
@@ -45,7 +46,9 @@ pub use automaton::{PAutomaton, PState};
 pub use index::RuleIndex;
 pub use poststar::poststar;
 pub use prestar::prestar;
-pub use saturate::{saturate_indexed_with_stats, Direction, SaturationStats};
+pub use saturate::{
+    saturate_a1_with_stats, saturate_indexed_with_stats, Direction, SaturationStats,
+};
 pub use scratch::SaturationScratch;
 pub use system::{ControlLoc, Pds, Rhs, Rule};
 

@@ -15,9 +15,10 @@
 
 use crate::automaton::{PAutomaton, PState};
 use crate::index::RuleIndex;
-use crate::scratch::SaturationScratch;
-use crate::system::Rhs;
+use crate::scratch::{decode_label, SaturationScratch};
+use crate::system::{ControlLoc, Rhs};
 use crate::PdsError;
+use specslice_fsa::mrd::TransposedNfa;
 use specslice_fsa::Symbol;
 use std::fmt;
 
@@ -122,20 +123,77 @@ fn validate_query(idx: &RuleIndex, query: &PAutomaton, dir: Direction) -> Result
 }
 
 /// Computes the saturation of `query` in `dir` against a prebuilt rule
-/// index and caller-owned scratch — the session hot path behind
-/// [`crate::prestar::prestar_indexed_with_stats`] and
-/// [`crate::poststar::poststar_indexed_with_stats`].
+/// index and caller-owned scratch, materialized as a [`PAutomaton`] — the
+/// entry behind [`crate::prestar::prestar_indexed_with_stats`] and
+/// [`crate::poststar::poststar_indexed_with_stats`], for callers that
+/// need the whole saturated relation.
 pub fn saturate_indexed_with_stats(
     dir: Direction,
     idx: &RuleIndex,
     query: &PAutomaton,
     scratch: &mut SaturationScratch,
 ) -> Result<(PAutomaton, SaturationStats), PdsError> {
+    let stats = saturate_rows(dir, idx, query, scratch)?;
+    Ok((materialize(query, stats.phase1_states, &scratch.out), stats))
+}
+
+/// The session hot path: runs the same engine as
+/// [`saturate_indexed_with_stats`], then builds the query pipeline's `A1`
+/// — the saturated language read from control location `p`, trimmed —
+/// straight from the engine's rows into `scratch`, without materializing
+/// the saturated automaton.
+///
+/// The result is `to_nfa(p).trimmed().0` of what
+/// [`saturate_indexed_with_stats`] returns, in the transposed form
+/// [`specslice_fsa::mrd::mrd_of_transposed`] reads, with the same state
+/// numbering: 0 is the copy of `p`, then the kept states in ascending
+/// order. It lives in `scratch` until the next query.
+pub fn saturate_a1_with_stats<'s>(
+    dir: Direction,
+    idx: &RuleIndex,
+    query: &PAutomaton,
+    p: ControlLoc,
+    scratch: &'s mut SaturationScratch,
+) -> Result<(&'s TransposedNfa, SaturationStats), PdsError> {
+    let stats = saturate_rows(dir, idx, query, scratch)?;
+    let p = query.control_state(p).0;
+    let SaturationScratch { out, a1, .. } = scratch;
+    Ok((a1.build(out, query.finals(), p), stats))
+}
+
+/// Validates `query` and saturates it into `scratch`'s rows.
+fn saturate_rows(
+    dir: Direction,
+    idx: &RuleIndex,
+    query: &PAutomaton,
+    scratch: &mut SaturationScratch,
+) -> Result<SaturationStats, PdsError> {
     validate_query(idx, query, dir)?;
-    match dir {
-        Direction::Backward => Ok(backward_solo(idx, query, scratch)),
-        Direction::Forward => Ok(forward_solo(idx, query, scratch)),
+    Ok(match dir {
+        Direction::Backward => backward_solo(idx, query, scratch),
+        Direction::Forward => forward_solo(idx, query, scratch),
+    })
+}
+
+/// The saturated automaton: the query, `phase1_states` fresh states, then
+/// every transition in `out`'s rows in deterministic (state-major,
+/// insertion) order. The rows hold the query's own transitions too, so
+/// the query's copies come first and the rows add only inferred ones.
+fn materialize(
+    query: &PAutomaton,
+    phase1_states: usize,
+    out: &crate::arena::BumpLists<(u32, u32)>,
+) -> PAutomaton {
+    let mut aut = query.clone();
+    for _ in 0..phase1_states {
+        aut.add_state();
     }
+    for state in 0..out.n_lists() as u32 {
+        for (label, to) in out.iter(state) {
+            aut.add_transition(PState(state), decode_label(label), PState(to));
+        }
+    }
+    aut
 }
 
 /// The `pre*` worklist engine (Esparza et al. 2000) on a validated query.
@@ -143,7 +201,7 @@ fn backward_solo(
     idx: &RuleIndex,
     query: &PAutomaton,
     scratch: &mut SaturationScratch,
-) -> (PAutomaton, SaturationStats) {
+) -> SaturationStats {
     let n_states = query.state_count() as u32;
     scratch.reset(n_states);
     let SaturationScratch {
@@ -230,19 +288,11 @@ fn backward_solo(
         }
     }
 
-    // Materialize the saturated automaton: the query plus every inferred
-    // transition, in deterministic (state-major, insertion) order.
-    let mut aut = query.clone();
-    for state in 0..out.n_lists() as u32 {
-        for (label, to) in out.iter(state) {
-            aut.add_transition(PState(state), Some(Symbol(label - 1)), PState(to));
-        }
-    }
-
     // The structures only grow during saturation, so the peak is the final
-    // footprint plus the deepest worklist.
-    let transitions = aut.transition_count();
-    let stats = SaturationStats {
+    // footprint plus the deepest worklist. The rows hold the query's
+    // transitions too, so their size is the saturated automaton's.
+    let transitions = out.item_count();
+    SaturationStats {
         transitions,
         query_transitions: query.transition_count(),
         phase1_states: 0,
@@ -252,8 +302,7 @@ fn backward_solo(
             + peak_worklist * std::mem::size_of::<(u32, u32, u32)>(),
         rule_applications,
         peak_worklist,
-    };
-    (aut, stats)
+    }
 }
 
 /// The `post*` worklist engine (Schwoon 2002, Alg. 2) on a validated query.
@@ -261,7 +310,7 @@ fn forward_solo(
     idx: &RuleIndex,
     query: &PAutomaton,
     scratch: &mut SaturationScratch,
-) -> (PAutomaton, SaturationStats) {
+) -> SaturationStats {
     // Phase I: one fresh state per distinct (p', γ') push-rule target pair,
     // numbered densely after the query's states (the numbering lives in the
     // rule index, so Phase II looks pairs up without hashing).
@@ -348,25 +397,8 @@ fn forward_solo(
         }
     }
 
-    // Materialize: the query, the Phase-I states, then every inferred
-    // transition in deterministic (state-major, insertion) order.
-    let mut aut = query.clone();
-    for _ in 0..phase1_states {
-        aut.add_state();
-    }
-    for state in 0..out.n_lists() as u32 {
-        for (label, to) in out.iter(state) {
-            let l = if label == 0 {
-                None
-            } else {
-                Some(Symbol(label - 1))
-            };
-            aut.add_transition(PState(state), l, PState(to));
-        }
-    }
-
-    let transitions = aut.transition_count();
-    let stats = SaturationStats {
+    let transitions = out.item_count();
+    SaturationStats {
         transitions,
         query_transitions: query.transition_count(),
         phase1_states,
@@ -376,6 +408,5 @@ fn forward_solo(
             + peak_worklist * std::mem::size_of::<(u32, u32, u32)>(),
         rule_applications,
         peak_worklist,
-    };
-    (aut, stats)
+    }
 }

@@ -15,8 +15,14 @@
 //! transition enters the worklist exactly once, when its target first
 //! enters its row's set.
 
+use crate::a1::A1Scratch;
 use crate::arena::BumpLists;
-use specslice_fsa::FxHashMap;
+use specslice_fsa::{FxHashMap, Symbol};
+
+/// Decodes a stored label: `0` is ε, `γ + 1` is the stack symbol `γ`.
+pub(crate) fn decode_label(label: u32) -> Option<Symbol> {
+    (label != 0).then(|| Symbol(label - 1))
+}
 
 /// Linear-scan → bitset upgrade point for one row's target set.
 const BITSET_THRESHOLD: usize = 16;
@@ -198,6 +204,8 @@ pub struct SaturationScratch {
     pub(crate) tmp: Vec<u32>,
     /// Copy buffer for `(label, state)` pairs.
     pub(crate) tmp_pairs: Vec<(u32, u32)>,
+    /// The `A1` builder's walk buffers and its result.
+    pub(crate) a1: A1Scratch,
 }
 
 impl SaturationScratch {
@@ -222,6 +230,7 @@ impl SaturationScratch {
             + self.pending.approx_bytes()
             + self.tmp.capacity() * 4
             + self.tmp_pairs.capacity() * 8
+            + self.a1.approx_bytes()
     }
 
     /// Peak live bump-arena bytes since this scratch was created (the

@@ -180,15 +180,20 @@ fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
         specslice::criteria::query_automaton(sdg, enc, criterion).expect("criterion")
     });
     stage("cold: query automaton", d);
+    let mut sat = specslice_pds::SaturationScratch::default();
     let (a1, d) = ac::measure(|| {
-        specslice_pds::prestar::prestar_with_stats(&enc.pds, &query)
-            .expect("well-formed query")
-            .0
+        specslice_pds::saturate_a1_with_stats(
+            specslice_pds::Direction::Backward,
+            &enc.index,
+            &query,
+            MAIN_CONTROL,
+            &mut sat,
+        )
+        .expect("well-formed query")
+        .0
     });
-    stage("cold: prestar saturation", d);
-    let (trimmed, d) = ac::measure(|| a1.trimmed_nfa(MAIN_CONTROL));
-    stage("cold: trimmed A1", d);
-    let ((a6, mrd_stats), d) = ac::measure(|| specslice_fsa::mrd::mrd_with_stats(&trimmed));
+    stage("cold: saturation + A1", d);
+    let ((a6, mrd_stats), d) = ac::measure(|| specslice_fsa::mrd::mrd_of_transposed(a1));
     stage("cold: determinize + MRD", d);
     println!(
         "    (mrd sizes: input {} -> det {} -> min {} -> mrd {} states)",
