@@ -6,7 +6,9 @@ use specslice::encode::MAIN_CONTROL;
 use specslice::{criteria, Criterion, Slicer};
 use specslice_bench::timer;
 use specslice_fsa::mrd;
-use specslice_pds::{prestar, saturate_a1_with_stats, Direction, SaturationScratch};
+use specslice_pds::{
+    prestar, saturate_a1_with_stats, Direction, SaturationBase, SaturationScratch,
+};
 
 fn main() {
     println!("{}", timer::header());
@@ -42,6 +44,7 @@ fn bench_mrd() {
         let (a1, _) = saturate_a1_with_stats(
             Direction::Backward,
             &enc.index,
+            SaturationBase::empty(),
             &query,
             MAIN_CONTROL,
             &mut sat,

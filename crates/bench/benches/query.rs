@@ -9,16 +9,18 @@
 //! the hot path that batch parallelism and the incremental memo multiply,
 //! and the one the dense-ID representation targets. The wall-clock loop
 //! answers the whole criterion list through `slice_batch`, and the
-//! `saturations_run` / `criteria_per_saturation` counters record that the
-//! batch ran one saturation per distinct criterion.
+//! `saturations_run` counter records that the batch ran one saturation per
+//! distinct criterion.
 //!
 //! The bench emits a machine-readable JSON report to stdout (and to
 //! `$BENCH_QUERY_JSON` when set — the committed snapshot at
 //! `BENCH_query.json` in the repository root was produced that way). The
 //! report has two kinds of fields:
 //!
-//! * **deterministic counters** (`"counters"`): Prestar rule applications,
-//!   saturated-transition counts, peak worklist depth, automaton
+//! * **deterministic counters** (`"counters"`): Prestar rule applications
+//!   and peak worklist depth (each query's own work beyond the session's
+//!   `pre*` base), the base's own size and work once per workload
+//!   (`base_*` keys), saturated-transition counts, automaton
 //!   state/transition counts along the MRD chain, slice sizes, and the
 //!   variant-store counters of a whole-program `specialize_program` pass
 //!   (interned variants, cross-criterion dedup hits, flat-row bytes,
@@ -102,12 +104,15 @@ struct Counters {
     store_row_bytes: usize,
     merged_functions: usize,
     regen_bytes: usize,
-    /// Batch counters from a single `slice_batch` over the workload's
+    /// Batch counter from a single `slice_batch` over the workload's
     /// criteria: how many saturations the batch ran (one per distinct
-    /// criterion) and how many criteria the widest saturation answered
-    /// (one). The bench-gate diffs them like any other counter.
+    /// criterion). The bench-gate diffs it like any other counter.
     saturations_run: usize,
-    criteria_per_saturation: usize,
+    /// The session's backward saturation base (`pre*` of the empty
+    /// query), built once for all of the workload's backward queries: its
+    /// transitions and its own rule applications.
+    base_transitions: usize,
+    base_rule_applications: usize,
     /// Forward-query counters: every workload criterion re-answered as a
     /// `post*` query through the same cached encoding. Saturated-transition
     /// and rule-application counts measure the forward pipeline's work the
@@ -229,6 +234,13 @@ fn main() {
             counters.slice_vertices += slice.total_vertices();
             counters.variants += slice.variant_count();
         }
+        let base = slicer
+            .saturation_base()
+            .expect("backward queries build the saturation base")
+            .stats();
+        assert_eq!(slicer.saturation_base_builds(), 1, "{name}: one base");
+        counters.base_transitions = base.transitions;
+        counters.base_rule_applications = base.rule_applications;
 
         // The forward mirror: the same criteria re-answered as `post*`
         // queries through the same cached encoding, plus one chop from the
@@ -257,7 +269,6 @@ fn main() {
         {
             let batch = slicer.slice_batch(&criteria).expect("batch");
             counters.saturations_run = batch.aggregate.saturations_run;
-            counters.criteria_per_saturation = batch.aggregate.criteria_per_saturation;
             let distinct = specslice_bench::distinct_criteria(&criteria);
             assert_eq!(
                 counters.saturations_run, distinct,
@@ -490,10 +501,11 @@ fn render_json(
         let _ = writeln!(s, "        \"merged_functions\": {},", c.merged_functions);
         let _ = writeln!(s, "        \"regen_bytes\": {},", c.regen_bytes);
         let _ = writeln!(s, "        \"saturations_run\": {},", c.saturations_run);
+        let _ = writeln!(s, "        \"base_transitions\": {},", c.base_transitions);
         let _ = writeln!(
             s,
-            "        \"criteria_per_saturation\": {},",
-            c.criteria_per_saturation
+            "        \"base_rule_applications\": {},",
+            c.base_rule_applications
         );
         let _ = writeln!(
             s,

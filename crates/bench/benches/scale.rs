@@ -118,8 +118,12 @@ struct Counters {
     criteria: usize,
     distinct_sites: usize,
     saturations_run: usize,
-    criteria_per_saturation: usize,
+    /// The batch's own rule applications, beyond the session's `pre*`
+    /// base, and the base's transitions and rule applications (built once
+    /// per session, by the batch's first backward query).
     rule_applications: usize,
+    base_transitions: usize,
+    base_rule_applications: usize,
     transitions: usize,
     slice_vertices: usize,
     variants: usize,
@@ -182,8 +186,13 @@ fn main() {
         // runs in. Its aggregate carries the gated saturation counters.
         let batch = slicer.slice_batch(&criteria).expect("batch");
         counters.saturations_run = batch.aggregate.saturations_run;
-        counters.criteria_per_saturation = batch.aggregate.criteria_per_saturation;
         counters.rule_applications = batch.aggregate.prestar_rule_applications;
+        let base = slicer
+            .saturation_base()
+            .expect("the backward batch builds the saturation base")
+            .stats();
+        counters.base_transitions = base.transitions;
+        counters.base_rule_applications = base.rule_applications;
         counters.transitions = batch.aggregate.prestar_transitions;
         for slice in &batch.slices {
             counters.slice_vertices += slice.total_vertices();
@@ -299,12 +308,13 @@ fn render_json(samples: usize, host: usize, rows: &[TierRow]) -> String {
         let _ = writeln!(s, "        \"criteria\": {},", c.criteria);
         let _ = writeln!(s, "        \"distinct_sites\": {},", c.distinct_sites);
         let _ = writeln!(s, "        \"saturations_run\": {},", c.saturations_run);
+        let _ = writeln!(s, "        \"rule_applications\": {},", c.rule_applications);
+        let _ = writeln!(s, "        \"base_transitions\": {},", c.base_transitions);
         let _ = writeln!(
             s,
-            "        \"criteria_per_saturation\": {},",
-            c.criteria_per_saturation
+            "        \"base_rule_applications\": {},",
+            c.base_rule_applications
         );
-        let _ = writeln!(s, "        \"rule_applications\": {},", c.rule_applications);
         let _ = writeln!(s, "        \"transitions\": {},", c.transitions);
         let _ = writeln!(s, "        \"slice_vertices\": {},", c.slice_vertices);
         let _ = writeln!(s, "        \"variants\": {},", c.variants);

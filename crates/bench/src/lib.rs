@@ -10,7 +10,7 @@ pub mod timer;
 use specslice::encode::MAIN_CONTROL;
 use specslice::{criteria, Criterion, PipelineStats, Slicer, SpecSlice};
 use specslice_fsa::mrd::mrd_of_transposed;
-use specslice_pds::{saturate_a1_with_stats, Direction, SaturationScratch};
+use specslice_pds::{saturate_a1_with_stats, Direction, SaturationBase, SaturationScratch};
 use specslice_sdg::VertexId;
 use std::time::{Duration, Instant};
 
@@ -80,9 +80,11 @@ pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
         let query = criteria::query_automaton(sdg, enc, &criterion).expect("criterion");
         let ta = Instant::now();
         let mut sat = SaturationScratch::default();
+        let base = slicer.saturation_base().unwrap_or(SaturationBase::empty());
         let (a1, _) = saturate_a1_with_stats(
             Direction::Backward,
             &enc.index,
+            base,
             &query,
             MAIN_CONTROL,
             &mut sat,

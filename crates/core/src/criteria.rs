@@ -14,7 +14,7 @@
 use crate::encode::{Encoded, MAIN_CONTROL};
 use crate::SpecError;
 use specslice_fsa::{Dfa, Nfa};
-use specslice_pds::{PAutomaton, PState};
+use specslice_pds::{Direction, PAutomaton, PState, SaturationBase};
 use specslice_sdg::{CallSiteId, CalleeKind, Sdg, VertexId};
 
 /// A slicing criterion.
@@ -204,19 +204,28 @@ pub fn reachable_configurations(sdg: &Sdg, enc: &Encoded) -> Result<Nfa, SpecErr
         Some(enc.vertex_symbol(entry)),
         f,
     );
-    let (post, _) = specslice_pds::poststar::poststar_indexed_with_stats(
+    // `post*` read from `p` and trimmed straight from the saturation rows:
+    // only the part that can reach the final state is ever copied.
+    let mut scratch = specslice_pds::SaturationScratch::default();
+    let (a1, _) = specslice_pds::saturate_a1_with_stats(
+        Direction::Forward,
         &enc.index,
+        SaturationBase::empty(),
         &ae,
-        &mut specslice_pds::SaturationScratch::default(),
+        MAIN_CONTROL,
+        &mut scratch,
     )
     .map_err(|e| SpecError::pds("poststar(reachable)", e))?;
-    let nfa = post.to_nfa(MAIN_CONTROL);
-    Ok(specslice_fsa::hopcroft::minimize(&Dfa::determinize(&nfa)).to_nfa())
+    Ok(specslice_fsa::hopcroft::minimize(&Dfa::determinize(&a1.to_nfa())).to_nfa())
 }
 
 /// Converts an arbitrary NFA into a query P-automaton: determinize +
 /// minimize (guaranteeing ε-freedom and no transitions into the initial
-/// state, as `poststar` requires), then graft onto the control states.
+/// state), then graft onto the control states. The initial state becomes
+/// control `p` and every other state a fresh one, so no query transition
+/// enters a control state: `poststar` requires that, and it is what keeps
+/// a backward query's saturation disjoint from the session's `pre*` base
+/// (see `specslice_pds::base`).
 fn nfa_to_query(enc: &Encoded, nfa: &Nfa) -> Result<PAutomaton, SpecError> {
     let dfa = specslice_fsa::hopcroft::minimize(&Dfa::determinize(nfa));
     let mut aut = PAutomaton::new(enc.pds.control_count());

@@ -17,7 +17,8 @@
 //! 4. the reachable-configuration automaton is kept (symbol-remapped)
 //!    whenever the edit cannot have changed it — i.e. no rebuilt procedure
 //!    is call-reachable from `main` — and dropped for lazy rebuild
-//!    otherwise;
+//!    otherwise; the backward saturation base is always dropped for lazy
+//!    rebuild;
 //! 5. memo entries are kept (identifier-remapped, re-canonicalized, and
 //!    re-read-out once into the session's fresh [`VariantStore`] — the
 //!    superseded store's rows are keyed by pre-edit vertex ids) unless the
@@ -305,6 +306,9 @@ impl Slicer {
         self.enc = enc;
         self.store = new_store;
         self.reachable = reachable;
+        // The base is `pre*` of the empty query over the old encoding;
+        // dropped for lazy rebuild, so an edit never pays for it.
+        self.saturation_base = OnceLock::new();
         *self.memo.write().unwrap_or_else(|e| e.into_inner()) = kept;
         report
     }
@@ -324,6 +328,7 @@ impl Slicer {
         self.enc = enc;
         self.store = Arc::new(VariantStore::new());
         self.reachable = OnceLock::new();
+        self.saturation_base = OnceLock::new();
         self.memo.write().unwrap_or_else(|e| e.into_inner()).clear();
         Ok(EditReport {
             memo_dropped: dropped,
@@ -353,4 +358,40 @@ fn call_descendants(sdg: &Sdg, seeds: impl IntoIterator<Item = String>) -> BTree
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Criterion, Slicer};
+
+    /// The full-rebuild fallback drops the saturation base like the patch
+    /// path does; the next backward query rebuilds it over the new
+    /// encoding and answers like a fresh session.
+    #[test]
+    fn full_rebuild_drops_the_saturation_base() {
+        const SRC: &str = r#"
+            int g;
+            void p(int a) { g = a; }
+            int main() { p(1); printf("%d", g); return 0; }
+        "#;
+        let mut slicer = Slicer::from_source(SRC).unwrap();
+        let all = Criterion::printf_actuals(slicer.sdg());
+        slicer.slice(&all).unwrap();
+        assert_eq!(slicer.saturation_base_builds(), 1);
+
+        let program = slicer.program().unwrap().clone();
+        let report = slicer.rebuild_for(program.clone()).unwrap();
+        assert!(report.full_rebuild);
+        assert!(slicer.saturation_base().is_none());
+        assert_eq!(slicer.saturation_base_builds(), 1);
+
+        let all = Criterion::printf_actuals(slicer.sdg());
+        let again = slicer.slice(&all).unwrap();
+        assert_eq!(slicer.saturation_base_builds(), 2);
+        let fresh = Slicer::from_program(program).unwrap();
+        assert_eq!(
+            format!("{again:?}"),
+            format!("{:?}", fresh.slice(&all).unwrap())
+        );
+    }
 }

@@ -258,21 +258,28 @@ pub fn specialize(sdg: &Sdg, criterion: &Criterion) -> Result<SpecSlice, SpecErr
 pub struct PipelineStats {
     /// `|Δ|` of the encoded PDS.
     pub pds_rules: usize,
-    /// Transitions in this query's own saturated automaton (`Prestar` for
+    /// Transitions in this query's saturated automaton (`Prestar` for
     /// backward queries, `Poststar` for forward ones; the field name keeps
-    /// the historical spelling for serialization stability). An answer-size
-    /// field: replays keep the size recorded when the answer was computed.
+    /// the historical spelling for serialization stability), the session
+    /// base's included: the size of the whole relation, however it was
+    /// split. An answer-size field: replays keep the size recorded when
+    /// the answer was computed.
     pub prestar_transitions: usize,
-    /// Peak bytes retained during saturation (Fig. 22 accounting). A work
-    /// field: `0` on memo hits and fanned-out batch duplicates, which ran
-    /// no saturation.
+    /// Peak bytes retained during saturation (Fig. 22 accounting) by this
+    /// query's own structures; a backward query's session base is charged
+    /// once, in [`Slicer::approx_bytes`]. A work field: `0` on memo hits
+    /// and fanned-out batch duplicates, which ran no saturation.
     pub prestar_peak_bytes: usize,
-    /// Saturation-rule firings — a deterministic work measure (independent
-    /// of machine, thread count, and worklist order). `0` on memo hits and
-    /// fanned-out batch duplicates.
+    /// Saturation-rule firings this query did itself, beyond the session
+    /// base (a backward query extends `pre*` of the empty query, whose own
+    /// firings are reported once in [`Slicer::saturation_base`]'s stats;
+    /// forward queries and one-shot calls saturate everything themselves).
+    /// A deterministic work measure (independent of machine and thread
+    /// count). `0` on memo hits and fanned-out batch duplicates.
     pub prestar_rule_applications: usize,
-    /// Peak saturation worklist depth (deterministic for a given build).
-    /// `0` on memo hits and fanned-out batch duplicates.
+    /// Peak depth of this query's own saturation worklist, beyond the
+    /// session base (deterministic for a given build). `0` on memo hits
+    /// and fanned-out batch duplicates.
     pub prestar_peak_worklist: usize,
     /// States of the trimmed `A1`: the saturated language read from
     /// `main`'s control location, written straight from the saturation
@@ -291,11 +298,6 @@ pub struct PipelineStats {
     /// when the answer was computed). A batch aggregate therefore counts
     /// the distinct criteria that missed the memo.
     pub saturations_run: usize,
-    /// Criteria answered by this query's saturation: `1` for a computed
-    /// query, `0` for a replay. Aggregated as a max, so a batch aggregate
-    /// reads `1` when anything was computed. Kept for the stable stats and
-    /// snapshot layout; every saturation answers one criterion.
-    pub criteria_per_saturation: usize,
     /// Backward queries answered from the session memo (`1` on a hit, `0`
     /// otherwise; summed by [`PipelineStats::absorb`], so a batch aggregate
     /// counts hits).
@@ -332,9 +334,6 @@ impl PipelineStats {
         self.mrd.mrd_states += other.mrd.mrd_states;
         self.mrd.mrd_transitions += other.mrd.mrd_transitions;
         self.saturations_run += other.saturations_run;
-        self.criteria_per_saturation = self
-            .criteria_per_saturation
-            .max(other.criteria_per_saturation);
         self.memo_hits_backward += other.memo_hits_backward;
         self.memo_misses_backward += other.memo_misses_backward;
         self.memo_hits_forward += other.memo_hits_forward;

@@ -284,13 +284,15 @@ impl Slicer {
     }
 
     /// Estimated resident bytes of this session: SDG, PDS encoding, variant
-    /// store, memoized automata, and the warm scratch pool (saturation
-    /// arenas, row tables, and readout buffers retained by idle workers).
+    /// store, memoized automata, the backward saturation base once a query
+    /// has built it, and the warm scratch pool (saturation arenas, row
+    /// tables, and readout buffers retained by idle workers).
     /// Built from the deterministic `approx_bytes` helpers
     /// ([`specslice_sdg::Sdg::approx_bytes`],
     /// [`crate::encode::Encoded::approx_bytes`],
     /// [`crate::StoreStats::approx_bytes`],
     /// [`PipelineStats::approx_bytes`],
+    /// [`specslice_pds::SaturationBase::approx_bytes`],
     /// [`crate::ScratchStats`]), so eviction decisions based on it
     /// — the server's session budget — are reproducible across runs.
     pub fn approx_bytes(&self) -> usize {
@@ -307,6 +309,7 @@ impl Slicer {
             + self.enc.approx_bytes()
             + self.store_stats().approx_bytes()
             + memo_bytes
+            + self.saturation_base().map_or(0, |b| b.approx_bytes())
             + self.scratch_stats().approx_bytes
     }
 }

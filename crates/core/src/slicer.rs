@@ -1,14 +1,15 @@
 //! The [`Slicer`] session: one program, many slicing queries — in parallel.
 //!
 //! Alg. 1's pipeline splits into *program-dependent* stages (frontend → SDG
-//! construction → PDS encoding → the reachable-configuration automaton) and
-//! *criterion-dependent* stages (query automaton → `Prestar` → MRD →
-//! read-out). The paper's entire evaluation slices each test program once
-//! per `printf` — a multi-criterion workload — and a naive client pays the
+//! construction → PDS encoding → the reachable-configuration automaton →
+//! `pre*` of the empty query) and *criterion-dependent* stages (query
+//! automaton → `Prestar` over that base → MRD → read-out). The paper's
+//! entire evaluation slices each test program once per `printf` — a
+//! multi-criterion workload — and a naive client pays the
 //! program-dependent cost on every call. A `Slicer` runs those stages once
-//! at construction (the reachable automaton lazily, on the first criterion
-//! that needs it) and reuses them for every subsequent query, batch, feature
-//! removal, regeneration, or reslice check.
+//! (the reachable automaton and the saturation base lazily, on the first
+//! criterion that needs each) and reuses them for every subsequent query,
+//! batch, feature removal, regeneration, or reslice check.
 //!
 //! The criterion-dependent stages are *independent* across criteria and
 //! touch the session state read-only, so [`Slicer::slice_batch`] fans a
@@ -17,11 +18,11 @@
 //! `QueryScratch` — the saturation rows/worklists and read-out tables of
 //! the whole criterion-dependent pipeline, plus a private [`VariantStore`]
 //! shard its read-outs intern into; the shared `Sdg`, PDS encoding (with
-//! its prebuilt rule index), and reachable automaton are borrowed immutably
-//! by all workers. Results are assembled in input order and *adopted* into
-//! the session's variant store in that order, so batch output — including
-//! the store's interned ids and dedup counters — is bit-for-bit identical
-//! at every thread count.
+//! its prebuilt rule index), reachable automaton, and saturation base are
+//! borrowed immutably by all workers. Results are assembled in input order
+//! and *adopted* into the session's variant store in that order, so batch
+//! output — including the store's interned ids and dedup counters — is
+//! bit-for-bit identical at every thread count.
 
 use crate::criteria::{self, Criterion};
 use crate::encode::{self, Encoded, MAIN_CONTROL};
@@ -34,7 +35,9 @@ use specslice_exec::{Pool, WorkerStats};
 use specslice_fsa::mrd::{mrd_of_transposed, mrd_with_stats};
 use specslice_fsa::Nfa;
 use specslice_lang::Program;
-use specslice_pds::{saturate_a1_with_stats, Direction, PAutomaton, SaturationScratch};
+use specslice_pds::{
+    saturate_a1_with_stats, Direction, PAutomaton, SaturationBase, SaturationScratch,
+};
 use specslice_sdg::build::build_sdg;
 use specslice_sdg::{CallSiteId, Sdg, VertexId};
 use std::borrow::Cow;
@@ -144,6 +147,14 @@ pub struct Slicer {
     /// instead of one caller panicking on behalf of the rest).
     pub(crate) reachable: OnceLock<Result<Nfa, SpecError>>,
     pub(crate) reachable_builds: AtomicUsize,
+    /// `pre*` of the empty query, frozen: the criterion-independent part of
+    /// every backward saturation, which each backward query then only
+    /// extends (see `specslice_pds::base`). Built by the first backward
+    /// query that misses the memo, then shared; never built by session
+    /// construction, forward-only use, or [`Slicer::apply_edit`], which
+    /// drops it.
+    pub(crate) saturation_base: OnceLock<Arc<SaturationBase>>,
+    saturation_base_builds: AtomicUsize,
     queries_run: AtomicUsize,
     /// Criterion → cached-slice memo (see [`SlicerConfig::memoize`]).
     /// Shared read-mostly across batch workers; [`Slicer::apply_edit`]
@@ -404,6 +415,8 @@ impl Slicer {
             store: Arc::new(VariantStore::new()),
             reachable: OnceLock::new(),
             reachable_builds: AtomicUsize::new(0),
+            saturation_base: OnceLock::new(),
+            saturation_base_builds: AtomicUsize::new(0),
             queries_run: AtomicUsize::new(0),
             memo: RwLock::new(HashMap::new()),
             memo_hits: AtomicUsize::new(0),
@@ -450,6 +463,23 @@ impl Slicer {
     /// the cache is race-free even when a parallel batch forces it).
     pub fn reachable_builds(&self) -> usize {
         self.reachable_builds.load(Ordering::Relaxed)
+    }
+
+    /// How many times the backward saturation base (`pre*` of the empty
+    /// query) was built: 0 until a backward query misses the memo, then 1
+    /// until an edit drops it. Like the reachable automaton, the cache is
+    /// race-free when a parallel batch forces it.
+    pub fn saturation_base_builds(&self) -> usize {
+        self.saturation_base_builds.load(Ordering::Relaxed)
+    }
+
+    /// The session's backward saturation base, if a query has built it.
+    /// Its [`SaturationBase::stats`] are the base's own saturation work,
+    /// reported once per session; each backward query's
+    /// [`PipelineStats::prestar_rule_applications`] counts only its work
+    /// beyond the base.
+    pub fn saturation_base(&self) -> Option<&SaturationBase> {
+        self.saturation_base.get().map(|b| &**b)
     }
 
     /// Total queries answered by this session (slices, batch members, and
@@ -519,6 +549,18 @@ impl Slicer {
             .map_err(Clone::clone)
     }
 
+    /// The base a `dir` saturation runs over: the session's cached `pre*`
+    /// base backward (built on first use), the empty base forward.
+    fn base_for(&self, dir: Direction) -> &SaturationBase {
+        match dir {
+            Direction::Backward => self.saturation_base.get_or_init(|| {
+                self.saturation_base_builds.fetch_add(1, Ordering::Relaxed);
+                Arc::new(SaturationBase::backward(&self.enc.index))
+            }),
+            Direction::Forward => SaturationBase::empty(),
+        }
+    }
+
     fn query(&self, criterion: &Criterion) -> Result<PAutomaton, SpecError> {
         self.queries_run.fetch_add(1, Ordering::Relaxed);
         let reachable = match criterion {
@@ -576,6 +618,7 @@ impl Slicer {
             dir,
             &self.sdg,
             &self.enc,
+            self.base_for(dir),
             &query,
             self.config.validate,
             scratch,
@@ -726,17 +769,30 @@ impl Slicer {
         Ok(self.adopt(answer))
     }
 
-    /// Forces the shared reachable automaton before fanning a batch out, so
-    /// the workers start against a warm cache instead of serializing on its
-    /// initialization lock. (A build *failure* is cached and surfaces
-    /// per-criterion, so it is deliberately ignored here.)
-    fn warm_reachable_for(&self, criteria: &[Criterion]) {
+    /// Forces the shared caches a batch will need before fanning it out,
+    /// so the workers start against warm caches instead of serializing on
+    /// their initialization locks: the reachable automaton when a criterion
+    /// is all-contexts (a build *failure* is cached and surfaces
+    /// per-criterion, so it is deliberately ignored here), and the backward
+    /// saturation base when a backward criterion will miss the memo.
+    fn warm_caches_for(&self, dir: Direction, criteria: &[Criterion]) {
         if self.reachable.get().is_none()
             && criteria
                 .iter()
                 .any(|c| matches!(c, Criterion::AllContexts(_)))
         {
             let _ = self.reachable();
+        }
+        if dir == Direction::Backward && self.saturation_base.get().is_none() {
+            let misses = !self.config.memoize || {
+                let memo = self.memo.read().unwrap_or_else(|e| e.into_inner());
+                criteria
+                    .iter()
+                    .any(|c| memo_key(dir, c).is_none_or(|k| !memo.contains_key(&k)))
+            };
+            if misses {
+                self.base_for(dir);
+            }
         }
     }
 
@@ -746,7 +802,7 @@ impl Slicer {
     fn batch_raw(&self, dir: Direction, criteria: &[Criterion]) -> (RawBatch, Vec<WorkerStats>) {
         let pool = Pool::new(self.config.num_threads);
         if pool.threads() > 1 {
-            self.warm_reachable_for(criteria);
+            self.warm_caches_for(dir, criteria);
         }
         pool.map_init_stats(criteria, QueryScratch::default, |scratch, _, criterion| {
             let shard = scratch.shard.clone();
@@ -1130,7 +1186,6 @@ fn replayed(mut stats: PipelineStats) -> PipelineStats {
     stats.prestar_peak_worklist = 0;
     stats.prestar_peak_bytes = 0;
     stats.saturations_run = 0;
-    stats.criteria_per_saturation = 0;
     stats
 }
 
@@ -1153,7 +1208,8 @@ fn set_memo_counters(stats: &mut PipelineStats, dir: Direction, hit: bool) {
 /// The criterion-dependent tail of Alg. 1: saturation (`Prestar` backward,
 /// `Poststar` forward) → trimmed `A1`, built from the saturation rows →
 /// MRD → read-out. Shared by the session
-/// methods and the one-shot [`crate::specialize`]. The slice's content is
+/// methods and the one-shot [`crate::specialize`], which saturates the
+/// whole relation itself (the empty base). The slice's content is
 /// interned into `store`.
 pub(crate) fn run_query(
     dir: Direction,
@@ -1170,6 +1226,7 @@ pub(crate) fn run_query(
         dir,
         sdg,
         enc,
+        SaturationBase::empty(),
         query,
         validate,
         &mut QueryScratch::default(),
@@ -1178,18 +1235,22 @@ pub(crate) fn run_query(
 }
 
 /// [`run_query`] against caller-owned scratch buffers, so a batch worker's
-/// hot loop reuses its saturation rows and read-out tables across criteria.
+/// hot loop reuses its saturation rows and read-out tables across criteria,
+/// and against a saturation base (the session's `pre*` base backward, so
+/// the query only saturates its own overlay).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_query_in(
     dir: Direction,
     sdg: &Sdg,
     enc: &Encoded,
+    base: &SaturationBase,
     query: &PAutomaton,
     validate: bool,
     scratch: &mut QueryScratch,
     store: &Arc<VariantStore>,
 ) -> Result<(SpecSlice, PipelineStats), SpecError> {
     let (a1, satstats) =
-        saturate_a1_with_stats(dir, &enc.index, query, MAIN_CONTROL, &mut scratch.sat)
+        saturate_a1_with_stats(dir, &enc.index, base, query, MAIN_CONTROL, &mut scratch.sat)
             .map_err(|e| SpecError::pds(dir_stage(dir), e))?;
     let (a1_states, a1_transitions) = (a1.state_count(), a1.transition_count());
     let (a6, mrd_stats) = mrd_of_transposed(a1);
@@ -1212,7 +1273,6 @@ pub(crate) fn run_query_in(
         a1_transitions,
         mrd: mrd_stats,
         saturations_run: 1,
-        criteria_per_saturation: 1,
         ..PipelineStats::default()
     };
     Ok((slice, stats))

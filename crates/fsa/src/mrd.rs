@@ -301,6 +301,25 @@ impl TransposedNfa {
         self.inc_off.len().saturating_sub(1)
     }
 
+    /// The same automaton in forward form: same states, edges and finals.
+    pub fn to_nfa(&self) -> Nfa {
+        let n = self.state_count();
+        let mut out = vec![Vec::new(); n];
+        for q in 0..n {
+            let to = StateId(q as u32);
+            let inc = &self.inc[self.inc_off[q] as usize..self.inc_off[q + 1] as usize];
+            for &(s, from) in inc {
+                out[from.index()].push((Some(s), to));
+            }
+            let eps = &self.eps_inc[self.eps_off[q] as usize..self.eps_off[q + 1] as usize];
+            for &from in eps {
+                out[from as usize].push((None, to));
+            }
+        }
+        let finals = self.finals.iter().map(|&q| StateId(q)).collect();
+        Nfa::from_unique_rows(out, finals)
+    }
+
     /// Number of transitions (including ε).
     pub fn transition_count(&self) -> usize {
         self.inc.len() + self.eps_inc.len()
@@ -625,6 +644,28 @@ mod tests {
         n.add_transition(b, Some(c2), f);
         n.set_final(f);
         n
+    }
+
+    /// The forward form of a transposed automaton is the automaton it was
+    /// built from: same states, finals and edges (ε included).
+    #[test]
+    fn transposed_round_trips_to_nfa() {
+        let mut n = fig10_like();
+        let extra = n.add_state();
+        n.add_transition(n.initial(), None, extra);
+        n.add_transition(extra, Some(sym(3)), extra);
+        n.set_final(extra);
+        let back = TransposedNfa::from_nfa(&n).to_nfa();
+        assert_eq!(back.state_count(), n.state_count());
+        assert_eq!(back.transition_count(), n.transition_count());
+        assert_eq!(back.finals(), n.finals());
+        let sorted = |a: &Nfa| {
+            let mut t: Vec<_> = a.transitions().collect();
+            t.sort_unstable();
+            t
+        };
+        assert_eq!(sorted(&back), sorted(&n));
+        assert!(equivalent(&back, &n));
     }
 
     #[test]

@@ -75,6 +75,28 @@ impl Nfa {
         StateId(0)
     }
 
+    /// The automaton over states `0..out.len()` whose rows are `out` and
+    /// whose accepting states are `finals`. The rows must hold no
+    /// duplicate transitions; they are taken as they are, without the
+    /// per-transition dedup [`Nfa::add_transition`] pays.
+    pub(crate) fn from_unique_rows(
+        out: Vec<Vec<(Option<Symbol>, StateId)>>,
+        finals: BTreeSet<StateId>,
+    ) -> Nfa {
+        debug_assert!(out.iter().all(|row| {
+            let mut r = row.clone();
+            r.sort_unstable();
+            r.windows(2).all(|w| w[0] != w[1])
+        }));
+        Nfa {
+            n_states: out.len() as u32,
+            n_transitions: out.iter().map(Vec::len).sum(),
+            finals,
+            out,
+            seen: None,
+        }
+    }
+
     /// Adds a fresh state.
     pub fn add_state(&mut self) -> StateId {
         let id = StateId(self.n_states);

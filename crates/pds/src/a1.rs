@@ -3,37 +3,41 @@
 //!
 //! The query pipeline's `A1` is `to_nfa(p).trimmed()` of the saturated
 //! automaton, in the transposed form MRD's subset construction reads
-//! ([`TransposedNfa`]). Building it from the engine's adjacency rows skips
-//! both intermediate copies of the saturated relation (the [`PAutomaton`]
-//! and the untrimmed [`specslice_fsa::Nfa`]): the walks below touch only
-//! the states reachable from `p`, and only the edges between kept states
-//! are written out.
+//! ([`TransposedNfa`]). Building it from the engine's rows skips both
+//! intermediate copies of the saturated relation (the [`PAutomaton`] and
+//! the untrimmed [`specslice_fsa::Nfa`]), and no per-query copy of the
+//! [`SaturationBase`] is made either: the saturated relation is base +
+//! overlay, and the walks below read both in place. The trim walks
+//! backward from the finals first — over the predecessor lists the engine
+//! files every transition under and the base's prebuilt reverse adjacency
+//! — so it touches only the states that can reach a final, not everything
+//! reachable from `p`; the forward walk from `p` then stays inside that
+//! set. Only the edges between kept states are written out.
 //!
 //! [`PAutomaton`]: crate::PAutomaton
 
-use crate::arena::BumpLists;
 use crate::automaton::PState;
-use crate::scratch::decode_label;
+use crate::base::SaturationBase;
+use crate::scratch::{decode_label, Relation};
 use specslice_fsa::mrd::TransposedNfa;
 use specslice_fsa::StateId;
 use std::collections::BTreeSet;
 
-const NONE: u32 = u32::MAX;
+/// `mark` values: untouched, can reach a final, and also reached from `p`.
+const UNSEEN: u8 = 0;
+const LIVE: u8 = 1;
+const KEPT: u8 = 2;
 
 /// The `A1` builder's buffers, reset (not reallocated) between queries.
 #[derive(Debug, Default)]
 pub(crate) struct A1Scratch {
-    /// Per automaton state: its position in `reached`, or `NONE`. Every
-    /// entry is `NONE` between builds, so a build clears only what it set.
-    slot: Vec<u32>,
-    /// The states reachable from `p` in one or more steps, in discovery
-    /// order.
-    reached: Vec<u32>,
-    /// Predecessors of each reached state among the reached rows, as
-    /// positions in `reached` (CSR: `preds[pred_off[i]..pred_off[i + 1]]`).
-    pred_off: Vec<u32>,
-    preds: Vec<u32>,
-    /// Per position in `reached`: the kept state's `A1` id, or `NONE`.
+    /// Per automaton state: `UNSEEN`, `LIVE` or `KEPT`. Every entry is
+    /// `UNSEEN` between builds, so a build clears only what it set.
+    mark: Vec<u8>,
+    /// The states marked in this build.
+    touched: Vec<u32>,
+    /// Per automaton state: the kept state's `A1` id (valid for kept
+    /// states only).
     renum: Vec<u32>,
     /// The kept states, ascending.
     kept: Vec<u32>,
@@ -45,8 +49,8 @@ pub(crate) struct A1Scratch {
 
 impl A1Scratch {
     /// Builds `A1` for control state `p` of the saturated automaton whose
-    /// transitions are `out`'s rows and whose accepting states are
-    /// `finals`.
+    /// transitions are `base`'s plus `rel`'s and whose accepting states
+    /// are `finals`.
     ///
     /// The result is `to_nfa(p).trimmed().0` in transposed form, numbered
     /// the same way: state 0 is the copy of `p`, then the kept states in
@@ -55,135 +59,99 @@ impl A1Scratch {
     /// beyond `p` and reaches a final.
     pub(crate) fn build(
         &mut self,
-        out: &BumpLists<(u32, u32)>,
+        base: &SaturationBase,
+        rel: &Relation,
         finals: &BTreeSet<PState>,
         p: u32,
     ) -> &TransposedNfa {
         let A1Scratch {
-            slot,
-            reached,
-            pred_off,
-            preds,
+            mark,
+            touched,
             renum,
             kept,
             stack,
             a1,
         } = self;
-        if slot.len() < out.n_lists() {
-            slot.resize(out.n_lists(), NONE);
+        let (out, into) = (&rel.out, &rel.into);
+        let n = out.n_lists();
+        if mark.len() < n {
+            mark.resize(n, UNSEEN);
+            renum.resize(n, 0);
+        }
+        // Out-edges of a state in the saturated relation: the base's, then
+        // the overlay's (the two are disjoint).
+        let edges = |s: u32| base.edges(s).chain(out.iter(s));
+
+        // Backward from the finals: every state that reaches one.
+        touched.clear();
+        stack.clear();
+        for f in finals {
+            if mark[f.index()] == UNSEEN {
+                mark[f.index()] = LIVE;
+                touched.push(f.0);
+                stack.push(f.0);
+            }
+        }
+        while let Some(s) = stack.pop() {
+            for q in base.preds(s).iter().copied().chain(into.iter(s)) {
+                if mark[q as usize] == UNSEEN {
+                    mark[q as usize] = LIVE;
+                    touched.push(q);
+                    stack.push(q);
+                }
+            }
         }
 
-        // Forward from `p`, which the walk starts at without marking.
-        reached.clear();
+        // Forward from `p`, which the walk starts at without marking,
+        // through live states only: what it reaches is kept.
+        kept.clear();
         stack.clear();
         stack.push(p);
-        while let Some(q) = stack.pop() {
-            for (_, t) in out.iter(q) {
-                if slot[t as usize] == NONE {
-                    slot[t as usize] = reached.len() as u32;
-                    reached.push(t);
+        while let Some(s) = stack.pop() {
+            for (_, t) in edges(s) {
+                if mark[t as usize] == LIVE {
+                    mark[t as usize] = KEPT;
+                    kept.push(t);
                     stack.push(t);
                 }
             }
         }
-
-        // Reverse adjacency of the reached rows (a reached state's
-        // successors are reached too): count, inclusive prefix sums, then
-        // fill each row from its end down to its start.
-        let n = reached.len();
-        pred_off.clear();
-        pred_off.resize(n + 1, 0);
-        for &q in reached.iter() {
-            for (_, t) in out.iter(q) {
-                pred_off[slot[t as usize] as usize] += 1;
-            }
-        }
-        for i in 1..=n {
-            pred_off[i] += pred_off[i - 1];
-        }
-        preds.clear();
-        preds.resize(pred_off[n] as usize, 0);
-        for (i, &q) in reached.iter().enumerate() {
-            for (_, t) in out.iter(q) {
-                let at = &mut pred_off[slot[t as usize] as usize];
-                *at -= 1;
-                preds[*at as usize] = i as u32;
-            }
-        }
-
-        // Backward from the reached finals; `renum` marks what is kept.
-        renum.clear();
-        renum.resize(n, NONE);
-        stack.clear();
-        for f in finals {
-            let i = slot[f.index()];
-            if i != NONE && renum[i as usize] == NONE {
-                renum[i as usize] = 0;
-                stack.push(i);
-            }
-        }
-        while let Some(i) = stack.pop() {
-            let row = &preds[pred_off[i as usize] as usize..pred_off[i as usize + 1] as usize];
-            for &j in row {
-                if renum[j as usize] == NONE {
-                    renum[j as usize] = 0;
-                    stack.push(j);
-                }
-            }
-        }
-        kept.clear();
-        kept.extend(
-            reached
-                .iter()
-                .copied()
-                .filter(|&s| renum[slot[s as usize] as usize] != NONE),
-        );
         kept.sort_unstable();
         for (k, &s) in kept.iter().enumerate() {
-            renum[slot[s as usize] as usize] = k as u32 + 1;
+            renum[s as usize] = k as u32 + 1;
         }
 
-        let (slot_r, renum_r) = (&*slot, &*renum);
-        let id = move |s: u32| match slot_r[s as usize] {
-            NONE => None,
-            i => match renum_r[i as usize] {
-                NONE => None,
-                k => Some(StateId(k)),
-            },
-        };
+        let (mark_r, renum_r) = (&*mark, &*renum);
+        let id = move |s: u32| (mark_r[s as usize] == KEPT).then(|| StateId(renum_r[s as usize]));
         let a1_finals = finals.iter().flat_map(|f| {
             let copy = (f.0 == p).then_some(StateId(0));
             copy.into_iter().chain(id(f.0))
         });
         let kept_r = &*kept;
         a1.rebuild(kept.len() + 1, a1_finals, || {
-            let from_p = out
-                .iter(p)
-                .filter_map(move |(l, t)| Some((StateId(0), decode_label(l), id(t)?)));
+            let from_p =
+                edges(p).filter_map(move |(l, t)| Some((StateId(0), decode_label(l), id(t)?)));
             let between = kept_r.iter().flat_map(move |&s| {
-                let from = StateId(renum_r[slot_r[s as usize] as usize]);
-                out.iter(s)
-                    .filter_map(move |(l, t)| Some((from, decode_label(l), id(t)?)))
+                let from = StateId(renum_r[s as usize]);
+                edges(s).filter_map(move |(l, t)| Some((from, decode_label(l), id(t)?)))
             });
             from_p.chain(between)
         });
 
-        for &s in reached.iter() {
-            slot[s as usize] = NONE;
+        for &s in touched.iter() {
+            mark[s as usize] = UNSEEN;
         }
         a1
     }
 
     /// Retained capacity in bytes.
     pub(crate) fn approx_bytes(&self) -> usize {
-        (self.slot.capacity()
-            + self.reached.capacity()
-            + self.pred_off.capacity()
-            + self.preds.capacity()
-            + self.renum.capacity()
-            + self.kept.capacity()
-            + self.stack.capacity())
-            * 4
+        self.mark.capacity()
+            + (self.touched.capacity()
+                + self.renum.capacity()
+                + self.kept.capacity()
+                + self.stack.capacity())
+                * 4
             + self.a1.approx_bytes()
     }
 }
@@ -191,14 +159,18 @@ impl A1Scratch {
 #[cfg(test)]
 mod tests {
     use crate::saturate::{saturate_a1_with_stats, saturate_indexed_with_stats, Direction};
-    use crate::{ControlLoc, PAutomaton, PState, Pds, RuleIndex, SaturationScratch};
+    use crate::{
+        ControlLoc, PAutomaton, PState, Pds, RuleIndex, SaturationBase, SaturationScratch,
+    };
     use specslice_fsa::mrd::{mrd_of_transposed, mrd_with_stats, TransposedNfa};
     use specslice_fsa::{Nfa, Symbol};
 
     /// The `A1` built from the rows is `to_nfa(p).trimmed().0` of the
     /// materialized saturation: the same sizes, byte-identical MRD output
     /// and statistics (so the same language: `A6` is canonical by
-    /// language), and the same saturation statistics. Returns that
+    /// language), and the same saturation statistics. The same holds when
+    /// the run goes over the empty query's frozen `pre*` base, except that
+    /// the work counters then count only the run's own work. Returns that
     /// reference automaton. One scratch serves every call, so each build
     /// also runs on buffers a differently-sized earlier build left behind.
     fn assert_a1_like_to_nfa_then_trim(
@@ -212,14 +184,20 @@ mod tests {
         let (aut, stats) = saturate_indexed_with_stats(dir, &idx, query, scratch).unwrap();
         let reference = aut.to_nfa(p).trimmed().0;
         let transposed = TransposedNfa::from_nfa(&reference);
-        let (direct, direct_stats) = saturate_a1_with_stats(dir, &idx, query, p, scratch).unwrap();
-        assert_eq!(format!("{direct_stats:?}"), format!("{stats:?}"));
-        assert_eq!(direct.state_count(), transposed.state_count());
-        assert_eq!(direct.transition_count(), transposed.transition_count());
-        assert_eq!(
-            format!("{:?}", mrd_of_transposed(direct)),
-            format!("{:?}", mrd_with_stats(&reference)),
-        );
+        let want_mrd = format!("{:?}", mrd_with_stats(&reference));
+        let base = SaturationBase::backward(&idx);
+        for over in [SaturationBase::empty(), &base] {
+            let (direct, direct_stats) =
+                saturate_a1_with_stats(dir, &idx, over, query, p, scratch).unwrap();
+            if over.is_empty() || dir == Direction::Forward {
+                assert_eq!(format!("{direct_stats:?}"), format!("{stats:?}"));
+            } else {
+                assert_eq!(direct_stats.transitions, stats.transitions);
+            }
+            assert_eq!(direct.state_count(), transposed.state_count());
+            assert_eq!(direct.transition_count(), transposed.transition_count());
+            assert_eq!(format!("{:?}", mrd_of_transposed(direct)), want_mrd);
+        }
         reference
     }
 

@@ -35,6 +35,7 @@
 mod a1;
 pub mod arena;
 pub mod automaton;
+pub mod base;
 pub mod index;
 pub mod poststar;
 pub mod prestar;
@@ -43,6 +44,7 @@ pub mod scratch;
 pub mod system;
 
 pub use automaton::{PAutomaton, PState};
+pub use base::SaturationBase;
 pub use index::RuleIndex;
 pub use poststar::poststar;
 pub use prestar::prestar;

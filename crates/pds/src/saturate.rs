@@ -10,12 +10,19 @@
 //! each [`Direction`] and the shared query validation, so the two public
 //! modules are thin direction-pinning wrappers and cannot diverge.
 //!
+//! The backward engine saturates a query *against* a frozen
+//! [`SaturationBase`]: it reads base ∪ overlay rows and waiters and keeps
+//! only the query's own transitions in the scratch overlay. An empty base
+//! makes it the textbook engine over the whole relation, and the base
+//! itself is that engine run on the empty query — there is one engine.
+//!
 //! Labels are stored encoded as `u32`: `0` is ε, a stack symbol `γ` is
 //! `γ + 1`. The backward engines never produce label `0`.
 
 use crate::automaton::{PAutomaton, PState};
+use crate::base::SaturationBase;
 use crate::index::RuleIndex;
-use crate::scratch::{decode_label, SaturationScratch};
+use crate::scratch::{decode_label, Relation, SaturationScratch};
 use crate::system::{ControlLoc, Rhs};
 use crate::PdsError;
 use specslice_fsa::mrd::TransposedNfa;
@@ -67,6 +74,12 @@ impl fmt::Display for Direction {
 /// Statistics from one saturation run, either direction. Sizes feed the
 /// Fig. 22 memory accounting; the counters feed the query benchmark's
 /// deterministic drift gate.
+///
+/// For a run over a [`SaturationBase`], `transitions` is the size of the
+/// whole saturated relation (base + overlay), while the work fields
+/// (`rule_applications`, `peak_worklist`, `peak_bytes`) count only the
+/// run's own work beyond the base; the base reports its own work once, in
+/// [`SaturationBase::stats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SaturationStats {
     /// Transitions in the saturated automaton (including ε for `post*`).
@@ -133,44 +146,61 @@ pub fn saturate_indexed_with_stats(
     query: &PAutomaton,
     scratch: &mut SaturationScratch,
 ) -> Result<(PAutomaton, SaturationStats), PdsError> {
-    let stats = saturate_rows(dir, idx, query, scratch)?;
-    Ok((materialize(query, stats.phase1_states, &scratch.out), stats))
+    let stats = saturate_rows(dir, idx, SaturationBase::empty(), query, scratch)?;
+    Ok((
+        materialize(query, stats.phase1_states, &scratch.rel.out),
+        stats,
+    ))
 }
 
 /// The session hot path: runs the same engine as
-/// [`saturate_indexed_with_stats`], then builds the query pipeline's `A1`
-/// — the saturated language read from control location `p`, trimmed —
-/// straight from the engine's rows into `scratch`, without materializing
-/// the saturated automaton.
+/// [`saturate_indexed_with_stats`] — backward runs against `base` — then
+/// builds the query pipeline's `A1` (the saturated language read from
+/// control location `p`, trimmed) straight from base + overlay rows into
+/// `scratch`, without materializing the saturated automaton.
 ///
-/// The result is `to_nfa(p).trimmed().0` of what
-/// [`saturate_indexed_with_stats`] returns, in the transposed form
+/// `base` must be [`SaturationBase::empty`] or built over `idx`
+/// ([`SaturationBase::backward`]); forward runs ignore it. The result is
+/// `to_nfa(p).trimmed().0` of what [`saturate_indexed_with_stats`]
+/// returns, in the transposed form
 /// [`specslice_fsa::mrd::mrd_of_transposed`] reads, with the same state
 /// numbering: 0 is the copy of `p`, then the kept states in ascending
 /// order. It lives in `scratch` until the next query.
+///
+/// # Panics
+///
+/// When a non-empty `base` was built over a rule index of another shape.
 pub fn saturate_a1_with_stats<'s>(
     dir: Direction,
     idx: &RuleIndex,
+    base: &SaturationBase,
     query: &PAutomaton,
     p: ControlLoc,
     scratch: &'s mut SaturationScratch,
 ) -> Result<(&'s TransposedNfa, SaturationStats), PdsError> {
-    let stats = saturate_rows(dir, idx, query, scratch)?;
+    let base = match dir {
+        Direction::Backward => base,
+        Direction::Forward => SaturationBase::empty(),
+    };
+    base.check_index(idx);
+    let stats = saturate_rows(dir, idx, base, query, scratch)?;
     let p = query.control_state(p).0;
-    let SaturationScratch { out, a1, .. } = scratch;
-    Ok((a1.build(out, query.finals(), p), stats))
+    let SaturationScratch { rel, a1, .. } = scratch;
+    Ok((a1.build(base, rel, query.finals(), p), stats))
 }
 
-/// Validates `query` and saturates it into `scratch`'s rows.
+/// Validates `query` and saturates it into `scratch`'s rows (backward:
+/// the overlay over `base`).
 fn saturate_rows(
     dir: Direction,
     idx: &RuleIndex,
+    base: &SaturationBase,
     query: &PAutomaton,
     scratch: &mut SaturationScratch,
 ) -> Result<SaturationStats, PdsError> {
     validate_query(idx, query, dir)?;
     Ok(match dir {
-        Direction::Backward => backward_solo(idx, query, scratch),
+        Direction::Backward => backward_solo(idx, base, query, scratch),
         Direction::Forward => forward_solo(idx, query, scratch),
     })
 }
@@ -196,17 +226,22 @@ fn materialize(
     aut
 }
 
-/// The `pre*` worklist engine (Esparza et al. 2000) on a validated query.
-fn backward_solo(
+/// The `pre*` worklist engine (Esparza et al. 2000) on a validated query,
+/// run against `base`: rule matching reads base ∪ overlay, and only
+/// transitions the base lacks enter the overlay (`scratch`'s rows) and
+/// the worklist. The base is closed under the rules, so only overlay
+/// transitions can derive anything new. With the empty base this is the
+/// engine over the whole relation, pop-rule seeds included.
+pub(crate) fn backward_solo(
     idx: &RuleIndex,
+    base: &SaturationBase,
     query: &PAutomaton,
     scratch: &mut SaturationScratch,
 ) -> SaturationStats {
     let n_states = query.state_count() as u32;
     scratch.reset(n_states);
     let SaturationScratch {
-        rows,
-        out,
+        rel,
         worklist,
         pending,
         tmp,
@@ -215,10 +250,10 @@ fn backward_solo(
     } = scratch;
 
     // A transition enters the worklist exactly once: when its target first
-    // enters its `(state, symbol)` row.
+    // enters its `(state, symbol)` row, unless the base already holds it.
     fn add(
-        rows: &mut crate::scratch::RowTable,
-        out: &mut crate::arena::BumpLists<(u32, u32)>,
+        base: &SaturationBase,
+        rel: &mut Relation,
         worklist: &mut Vec<(u32, u32, u32)>,
         from: u32,
         sym: Symbol,
@@ -226,21 +261,24 @@ fn backward_solo(
     ) {
         debug_assert!(sym.0 < u32::MAX, "symbol id overflows the ε encoding");
         let label = sym.0 + 1;
-        if rows.insert(from, label, to) {
-            out.push(from, (label, to));
+        if !base.contains(from, label, to) && rel.insert(from, label, to) {
             worklist.push((from, label, to));
         }
     }
 
     // Seeds: the query's transitions, then the pop rules (which fire
-    // unconditionally: ⟨p, γ⟩ ↪ ⟨p', ε⟩ gives p –γ→ p').
+    // unconditionally: ⟨p, γ⟩ ↪ ⟨p', ε⟩ gives p –γ→ p'). A pop whose
+    // transition the base holds is the base's work, not this run's.
     for (f, l, t) in query.transitions() {
         let sym = l.expect("ε-freedom checked above");
-        add(rows, out, worklist, f.0, sym, t.0);
+        add(base, rel, worklist, f.0, sym, t.0);
     }
-    let mut rule_applications = idx.pops().len();
+    let mut rule_applications = 0usize;
     for &(p, gamma, p2) in idx.pops() {
-        add(rows, out, worklist, p.0, gamma, p2.0);
+        if !base.contains(p.0, gamma.0 + 1, p2.0) {
+            rule_applications += 1;
+            add(base, rel, worklist, p.0, gamma, p2.0);
+        }
     }
 
     let n_controls = idx.control_count();
@@ -260,7 +298,7 @@ fn backward_solo(
                     continue;
                 }
                 rule_applications += 1;
-                add(rows, out, worklist, m.from_loc.0, m.from_sym, t);
+                add(base, rel, worklist, m.from_loc.0, m.from_sym, t);
             }
             // Push rules ⟨p,γ⟩ ↪ ⟨p',γ'γ''⟩ with (p', γ') = (f, sym): we
             // have the first hop p' –γ'→ t; need t –γ''→ q2 (now or later).
@@ -271,33 +309,37 @@ fn backward_solo(
                 debug_assert!(m.below.0 < u32::MAX);
                 let below = m.below.0 + 1;
                 tmp.clear();
-                tmp.extend_from_slice(rows.targets(t, below));
+                tmp.extend_from_slice(base.targets(t, below));
+                tmp.extend_from_slice(rel.rows.targets(t, below));
                 for &q2 in tmp.iter() {
                     rule_applications += 1;
-                    add(rows, out, worklist, m.from_loc.0, m.from_sym, q2);
+                    add(base, rel, worklist, m.from_loc.0, m.from_sym, q2);
                 }
                 pending.push(t, below, (m.from_loc.0, m.from_sym.0));
             }
         }
-        // Complete earlier partial matches waiting on (f, sym).
+        // Complete earlier partial matches waiting on (f, sym): the base's
+        // and this run's.
         tmp_pairs.clear();
+        tmp_pairs.extend_from_slice(base.waiters(f, label));
         tmp_pairs.extend_from_slice(pending.waiters(f, label));
         for &(p, gamma) in tmp_pairs.iter() {
             rule_applications += 1;
-            add(rows, out, worklist, p, Symbol(gamma), t);
+            add(base, rel, worklist, p, Symbol(gamma), t);
         }
     }
 
     // The structures only grow during saturation, so the peak is the final
     // footprint plus the deepest worklist. The rows hold the query's
-    // transitions too, so their size is the saturated automaton's.
-    let transitions = out.item_count();
+    // transitions too; with the base's, they make up the saturated
+    // automaton.
+    let overlay = rel.out.item_count();
     SaturationStats {
-        transitions,
+        transitions: base.transition_count() + overlay,
         query_transitions: query.transition_count(),
         phase1_states: 0,
-        peak_bytes: transitions * 36
-            + rows.len() * 48
+        peak_bytes: overlay * 40
+            + rel.rows.len() * 48
             + pending.len() * 48
             + peak_worklist * std::mem::size_of::<(u32, u32, u32)>(),
         rule_applications,
@@ -319,8 +361,7 @@ fn forward_solo(
     let n_states = n_query_states + phase1_states as u32;
     scratch.reset(n_states);
     let SaturationScratch {
-        rows,
-        out,
+        rel,
         worklist,
         eps_into,
         tmp_pairs,
@@ -328,15 +369,13 @@ fn forward_solo(
     } = scratch;
 
     fn add(
-        rows: &mut crate::scratch::RowTable,
-        out: &mut crate::arena::BumpLists<(u32, u32)>,
+        rel: &mut Relation,
         worklist: &mut Vec<(u32, u32, u32)>,
         from: u32,
         label: u32,
         to: u32,
     ) {
-        if rows.insert(from, label, to) {
-            out.push(from, (label, to));
+        if rel.insert(from, label, to) {
             worklist.push((from, label, to));
         }
     }
@@ -347,7 +386,7 @@ fn forward_solo(
 
     for (f, l, t) in query.transitions() {
         let sym = l.expect("ε-freedom checked above");
-        add(rows, out, worklist, f.0, enc(sym), t.0);
+        add(rel, worklist, f.0, enc(sym), t.0);
     }
 
     let n_controls = idx.control_count();
@@ -367,12 +406,12 @@ fn forward_solo(
                     }
                     rule_applications += 1;
                     match r.rhs {
-                        Rhs::Pop => add(rows, out, worklist, r.to_loc.0, 0, t),
-                        Rhs::Internal(g2) => add(rows, out, worklist, r.to_loc.0, enc(g2), t),
+                        Rhs::Pop => add(rel, worklist, r.to_loc.0, 0, t),
+                        Rhs::Internal(g2) => add(rel, worklist, r.to_loc.0, enc(g2), t),
                         Rhs::Push(g1, g2) => {
                             let mid = n_query_states + r.push_pair;
-                            add(rows, out, worklist, r.to_loc.0, enc(g1), mid);
-                            add(rows, out, worklist, mid, enc(g2), t);
+                            add(rel, worklist, r.to_loc.0, enc(g1), mid);
+                            add(rel, worklist, mid, enc(g2), t);
                         }
                     }
                 }
@@ -383,27 +422,27 @@ fn forward_solo(
             // because `add` appends to `out`).
             for q2 in eps_into.iter(f) {
                 rule_applications += 1;
-                add(rows, out, worklist, q2, label, t);
+                add(rel, worklist, q2, label, t);
             }
         } else {
             // f –ε→ t: combine with all labeled t –sym→ u.
             eps_into.push(t, f);
             tmp_pairs.clear();
-            tmp_pairs.extend(out.iter(t).filter(|&(l2, _)| l2 != 0));
+            tmp_pairs.extend(rel.out.iter(t).filter(|&(l2, _)| l2 != 0));
             for &(l2, u) in tmp_pairs.iter() {
                 rule_applications += 1;
-                add(rows, out, worklist, f, l2, u);
+                add(rel, worklist, f, l2, u);
             }
         }
     }
 
-    let transitions = out.item_count();
+    let transitions = rel.out.item_count();
     SaturationStats {
         transitions,
         query_transitions: query.transition_count(),
         phase1_states,
-        peak_bytes: transitions * 36
-            + rows.len() * 48
+        peak_bytes: transitions * 40
+            + rel.rows.len() * 48
             + eps_into.live_bytes()
             + peak_worklist * std::mem::size_of::<(u32, u32, u32)>(),
         rule_applications,

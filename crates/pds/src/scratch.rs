@@ -171,6 +171,15 @@ impl PendTable {
         self.live
     }
 
+    /// Every registered `(state, label, waiters)` list, in no particular
+    /// order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u32, &[(u32, u32)])> + '_ {
+        self.map.iter().map(|(&key, &id)| {
+            let list: &[(u32, u32)] = &self.lists[id as usize];
+            ((key >> 32) as u32, key as u32, list)
+        })
+    }
+
     /// Retained capacity estimate (map slots + pooled waiter lists).
     pub(crate) fn approx_bytes(&self) -> usize {
         self.map.capacity() * 16
@@ -182,17 +191,52 @@ impl PendTable {
     }
 }
 
+/// The relation a saturation builds: the dedup rows, and every transition
+/// also filed under its source (the adjacency the automaton is read from)
+/// and under its target (so the `A1` trim walks backward from the finals
+/// without a pass over the whole relation). The two lists are bump-arena
+/// backed, reset (not freed) between queries.
+#[derive(Debug, Default)]
+pub(crate) struct Relation {
+    /// Dedup rows: `(state, label)` → target set.
+    pub(crate) rows: RowTable,
+    /// Per-state adjacency `(label, to)`, in insertion order.
+    pub(crate) out: BumpLists<(u32, u32)>,
+    /// Per-state predecessors: the sources of the transitions into it.
+    pub(crate) into: BumpLists<u32>,
+}
+
+impl Relation {
+    fn reset(&mut self, n_states: u32) {
+        self.rows.reset(n_states);
+        self.out.reset(n_states as usize);
+        self.into.reset(n_states as usize);
+    }
+
+    /// Records `from –label→ to`; `true` when it is new.
+    #[inline]
+    pub(crate) fn insert(&mut self, from: u32, label: u32, to: u32) -> bool {
+        let fresh = self.rows.insert(from, label, to);
+        if fresh {
+            self.out.push(from, (label, to));
+            self.into.push(to, from);
+        }
+        fresh
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.rows.approx_bytes() + self.out.approx_bytes() + self.into.approx_bytes()
+    }
+}
+
 /// Reusable saturation buffers — one per worker thread. Allocate once
 /// (`SaturationScratch::default()`), hand `&mut` to every
 /// [`crate::prestar::prestar_indexed_with_stats`] /
 /// [`crate::poststar::poststar_indexed_with_stats`] call.
 #[derive(Debug, Default)]
 pub struct SaturationScratch {
-    /// Dedup rows: `(state, label)` → target set.
-    pub(crate) rows: RowTable,
-    /// Per-state adjacency `(label, to)`, the automaton being built —
-    /// bump-arena backed, reset (not freed) between queries.
-    pub(crate) out: BumpLists<(u32, u32)>,
+    /// The relation being built.
+    pub(crate) rel: Relation,
     /// Worklist of `(state, label, to)` transitions, each entering once.
     pub(crate) worklist: Vec<(u32, u32, u32)>,
     /// Push-rule partial matches awaiting their second hop.
@@ -211,8 +255,7 @@ pub struct SaturationScratch {
 impl SaturationScratch {
     /// Prepares the scratch for a run over `n_states` automaton states.
     pub(crate) fn reset(&mut self, n_states: u32) {
-        self.rows.reset(n_states);
-        self.out.reset(n_states as usize);
+        self.rel.reset(n_states);
         self.worklist.clear();
         self.pending.reset();
         self.eps_into.reset(n_states as usize);
@@ -223,8 +266,7 @@ impl SaturationScratch {
     /// Retained capacity estimate: what a warm pooled scratch holds onto
     /// between queries. Feeds the session's resident-byte accounting.
     pub fn approx_bytes(&self) -> usize {
-        self.rows.approx_bytes()
-            + self.out.approx_bytes()
+        self.rel.approx_bytes()
             + self.eps_into.approx_bytes()
             + self.worklist.capacity() * std::mem::size_of::<(u32, u32, u32)>()
             + self.pending.approx_bytes()
@@ -234,9 +276,11 @@ impl SaturationScratch {
     }
 
     /// Peak live bump-arena bytes since this scratch was created (the
-    /// adjacency and ε-predecessor pools' high-water marks).
+    /// adjacency, predecessor and ε-predecessor pools' high-water marks).
     pub fn arena_high_water_bytes(&self) -> usize {
-        self.out.high_water_bytes() + self.eps_into.high_water_bytes()
+        self.rel.out.high_water_bytes()
+            + self.rel.into.high_water_bytes()
+            + self.eps_into.high_water_bytes()
     }
 }
 
@@ -281,14 +325,17 @@ mod tests {
     fn scratch_reset_sizes_state_tables() {
         let mut s = SaturationScratch::default();
         s.reset(4);
-        s.out.push(3, (1, 2));
+        assert!(s.rel.insert(3, 1, 2));
+        assert!(!s.rel.insert(3, 1, 2));
+        assert_eq!(s.rel.into.iter(2).collect::<Vec<_>>(), vec![3]);
         s.eps_into.push(2, 9);
         s.reset(2);
-        assert_eq!(s.out.n_lists(), 2);
-        assert!((0..2).all(|l| s.out.iter(l).count() == 0));
+        assert_eq!(s.rel.out.n_lists(), 2);
+        assert!((0..2).all(|l| s.rel.out.iter(l).count() == 0));
+        assert!((0..2).all(|l| s.rel.into.iter(l).count() == 0));
         assert!((0..2).all(|l| s.eps_into.iter(l).count() == 0));
         s.reset(8);
-        assert_eq!(s.out.n_lists(), 8);
+        assert_eq!(s.rel.out.n_lists(), 8);
         assert!(s.arena_high_water_bytes() > 0);
         assert!(s.approx_bytes() > 0);
     }

@@ -2,13 +2,15 @@
 //! (Esparza et al. 2000; Schwoon 2002) as naive fixpoints over a
 //! `BTreeSet` of transitions, with no rule index, no scratch and no
 //! worklist. The production `A1` — built by the worklist engine straight
-//! from its rows — must accept the same language as the oracle's trimmed
-//! `A1`, on hand-built systems and on small seeded random ones.
+//! from its rows, backward runs both over the whole relation and over the
+//! empty query's frozen `pre*` base — must accept the same language as the
+//! oracle's trimmed `A1`, on hand-built systems and on small seeded random
+//! ones.
 
 use specslice_fsa::mrd::mrd_of_transposed;
 use specslice_fsa::{ops, Nfa, StateId, Symbol};
 use specslice_pds::{
-    saturate_a1_with_stats, ControlLoc, Direction, PAutomaton, Pds, Rhs, RuleIndex,
+    saturate_a1_with_stats, ControlLoc, Direction, PAutomaton, Pds, Rhs, RuleIndex, SaturationBase,
     SaturationScratch,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -150,25 +152,46 @@ fn a1(sat: &Saturated, p: u32) -> Nfa {
 }
 
 /// Checks the production `A1` against the oracle's for every control
-/// location and both directions. For `pre*` the saturated relations
-/// themselves must have the same size: both are the least fixpoint over
-/// the query's states. (`post*`'s worklist engine adds ε-shortcut
-/// transitions the textbook relation does not have, so only the languages
-/// are compared there.)
-fn check(pds: &Pds, query: &PAutomaton, scratch: &mut SaturationScratch) {
+/// location and both directions; backward runs go once over the whole
+/// relation and once over `base` (the empty query's frozen `pre*` over the
+/// same PDS). For `pre*` the saturated relations themselves must have the
+/// same size: both are the least fixpoint over the query's states.
+/// (`post*`'s worklist engine adds ε-shortcut transitions the textbook
+/// relation does not have, so only the languages are compared there.) A
+/// query with a transition into a control state is outside `post*`'s
+/// preconditions, so only `pre*` is checked for it.
+fn check(pds: &Pds, query: &PAutomaton, base: &SaturationBase, scratch: &mut SaturationScratch) {
     let idx = RuleIndex::new(pds);
-    for (dir, oracle) in [
-        (Direction::Backward, prestar(pds, query)),
-        (Direction::Forward, poststar(pds, query)),
-    ] {
+    let into_control = query
+        .transitions()
+        .any(|(_, _, t)| query.is_control_state(t));
+    let mut runs = vec![
+        (
+            Direction::Backward,
+            SaturationBase::empty(),
+            prestar(pds, query),
+        ),
+        (Direction::Backward, base, prestar(pds, query)),
+    ];
+    if !into_control {
+        runs.push((
+            Direction::Forward,
+            SaturationBase::empty(),
+            poststar(pds, query),
+        ));
+    }
+    for (dir, over, oracle) in runs {
         for p in 0..pds.control_count() {
-            let (got, stats) = saturate_a1_with_stats(dir, &idx, query, ControlLoc(p), scratch)
-                .expect("well-formed query");
+            let (got, stats) =
+                saturate_a1_with_stats(dir, &idx, over, query, ControlLoc(p), scratch)
+                    .expect("well-formed query");
             let want = a1(&oracle, p);
             // `A6` accepts exactly `A1`'s language.
             assert!(
                 ops::equivalent(&mrd_of_transposed(got).0, &want),
-                "{dir} A1 from p{p} differs from the oracle's\npds: {pds:?}\nquery: {query:?}"
+                "{dir} A1 from p{p} (base: {} transitions) differs from the oracle's\n\
+                 pds: {pds:?}\nquery: {query:?}",
+                over.transition_count()
             );
             if dir == Direction::Backward {
                 assert_eq!(stats.transitions, oracle.rel.len(), "{pds:?}\n{query:?}");
@@ -198,12 +221,20 @@ fn hand_built_systems_match_the_oracle() {
     let (p, q) = (ControlLoc(0), ControlLoc(1));
     let (a, b, c) = (Symbol(0), Symbol(1), Symbol(2));
     let mut scratch = SaturationScratch::default();
+    let mut check_all = |pds: &Pds, queries: &[PAutomaton]| {
+        let base = SaturationBase::backward(&RuleIndex::new(pds));
+        for query in queries {
+            check(pds, query, &base, &mut scratch);
+        }
+    };
 
     // The counter: ⟨p, a⟩ ↪ ⟨p, ε⟩, from (p, ε) and from (p, a).
     let mut counter = Pds::new(1);
     counter.add_pop(p, a, p);
-    check(&counter, &words_query(1, &[(0, &[])]), &mut scratch);
-    check(&counter, &words_query(1, &[(0, &[a])]), &mut scratch);
+    check_all(
+        &counter,
+        &[words_query(1, &[(0, &[])]), words_query(1, &[(0, &[a])])],
+    );
 
     // Calls and returns: a call pushes a return site, a procedure body
     // steps, the exit pops back to the caller's control.
@@ -212,12 +243,20 @@ fn hand_built_systems_match_the_oracle() {
     calls.add_internal(p, b, q, a);
     calls.add_pop(q, a, p);
     calls.add_internal(q, c, q, b);
-    check(
+    // A query edge into a control state: `(q, c a*)`, read through `p`.
+    let mut into_p = words_query(2, &[(1, &[c])]);
+    let pc = into_p.control_state(p);
+    into_p.add_transition(into_p.control_state(q), Some(b), pc);
+    into_p.add_transition(pc, Some(a), pc);
+    into_p.set_final(pc);
+    check_all(
         &calls,
-        &words_query(2, &[(0, &[a]), (1, &[c])]),
-        &mut scratch,
+        &[
+            words_query(2, &[(0, &[a]), (1, &[c])]),
+            words_query(2, &[(1, &[a, a])]),
+            into_p,
+        ],
     );
-    check(&calls, &words_query(2, &[(1, &[a, a])]), &mut scratch);
 
     // Recursion: ⟨p, a⟩ ↪ ⟨p, a a⟩ and ⟨p, a⟩ ↪ ⟨q, b⟩, ⟨q, b⟩ ↪ ⟨q, ε⟩,
     // ⟨q, a⟩ ↪ ⟨q, ε⟩ — unbounded stacks on both sides.
@@ -226,12 +265,13 @@ fn hand_built_systems_match_the_oracle() {
     rec.add_internal(p, a, q, b);
     rec.add_pop(q, b, q);
     rec.add_pop(q, a, q);
-    check(&rec, &words_query(2, &[(0, &[a])]), &mut scratch);
-    check(&rec, &words_query(2, &[(1, &[])]), &mut scratch);
-    check(
+    check_all(
         &rec,
-        &words_query(2, &[(1, &[a, b]), (0, &[b])]),
-        &mut scratch,
+        &[
+            words_query(2, &[(0, &[a])]),
+            words_query(2, &[(1, &[])]),
+            words_query(2, &[(1, &[a, b]), (0, &[b])]),
+        ],
     );
 }
 
@@ -248,31 +288,47 @@ impl Rng {
     }
 }
 
-/// A random PDS and a random query over it. Query transitions never enter
-/// a control state, as `post*` requires.
-fn random_case(rng: &mut Rng) -> (Pds, PAutomaton) {
+/// A random PDS.
+fn random_pds(rng: &mut Rng) -> (Pds, u32) {
     let n_controls = 1 + rng.below(3);
     let n_symbols = 1 + rng.below(4);
-    let sym = |rng: &mut Rng| Symbol(rng.below(n_symbols));
     let mut pds = Pds::new(n_controls);
     for _ in 0..rng.below(9) {
         let (from, to) = (
             ControlLoc(rng.below(n_controls)),
             ControlLoc(rng.below(n_controls)),
         );
-        let gamma = sym(rng);
+        let gamma = Symbol(rng.below(n_symbols));
         match rng.below(3) {
             0 => pds.add_pop(from, gamma, to),
-            1 => pds.add_internal(from, gamma, to, sym(rng)),
-            _ => pds.add_push(from, gamma, to, sym(rng), sym(rng)),
+            1 => pds.add_internal(from, gamma, to, Symbol(rng.below(n_symbols))),
+            _ => pds.add_push(
+                from,
+                gamma,
+                to,
+                Symbol(rng.below(n_symbols)),
+                Symbol(rng.below(n_symbols)),
+            ),
         }
     }
+    (pds, n_symbols)
+}
+
+/// A random query over `n_controls` control states. Without
+/// `into_control`, transitions never enter a control state, as `post*`
+/// requires; with it, a target may be any state.
+fn random_query(rng: &mut Rng, n_controls: u32, n_symbols: u32, into_control: bool) -> PAutomaton {
+    let sym = |rng: &mut Rng| Symbol(rng.below(n_symbols));
     let mut query = PAutomaton::new(n_controls);
     let extra: Vec<_> = (0..1 + rng.below(3)).map(|_| query.add_state()).collect();
     let n_states = n_controls + extra.len() as u32;
     for _ in 0..1 + rng.below(5) {
         let from = specslice_pds::PState(rng.below(n_states));
-        let to = extra[rng.below(extra.len() as u32) as usize];
+        let to = if into_control && rng.below(2) == 0 {
+            specslice_pds::PState(rng.below(n_states))
+        } else {
+            extra[rng.below(extra.len() as u32) as usize]
+        };
         query.add_transition(from, Some(sym(rng)), to);
     }
     for &s in &extra {
@@ -283,15 +339,22 @@ fn random_case(rng: &mut Rng) -> (Pds, PAutomaton) {
     if rng.below(4) == 0 {
         query.set_final(query.control_state(ControlLoc(rng.below(n_controls))));
     }
-    (pds, query)
+    query
 }
 
+/// 300 seeded PDSs, each with one frozen base and one scratch serving
+/// several queries — some with transitions into control states, where the
+/// base saves little but the answer must still be exact.
 #[test]
 fn random_systems_match_the_oracle() {
     let mut scratch = SaturationScratch::default();
     for seed in 1..=300u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-        let (pds, query) = random_case(&mut rng);
-        check(&pds, &query, &mut scratch);
+        let (pds, n_symbols) = random_pds(&mut rng);
+        let base = SaturationBase::backward(&RuleIndex::new(&pds));
+        for i in 0..6 {
+            let query = random_query(&mut rng, pds.control_count(), n_symbols, i >= 4);
+            check(&pds, &query, &base, &mut scratch);
+        }
     }
 }

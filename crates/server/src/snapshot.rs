@@ -26,8 +26,8 @@
 //!              u32 state, u32 row_len (u32 vertex)×row_len)
 //! str      := u32 len, then len bytes of UTF-8
 //! main     := u32     variant index; 0xFFFF_FFFF encodes "no main variant"
-//! stats    := 19 × u64  (PipelineStats sizes + MrdStats + saturation
-//!             counters + per-direction memo counters + query µs)
+//! stats    := 18 × u64  (PipelineStats sizes + MrdStats + saturation
+//!             counter + per-direction memo counters + query µs)
 //! checksum := u64     FNV-1a over every preceding byte
 //! ```
 //!
@@ -54,8 +54,9 @@ pub const MAGIC: &[u8; 8] = b"SSLSNAP\0";
 /// the `saturations_run` / `criteria_per_saturation` counters; version 3
 /// tagged memo keys with the saturation direction (forward entries use tags
 /// 0x02/0x03) and widened the stats block with the per-direction memo
-/// hit/miss counters.
-pub const FORMAT_VERSION: u32 = 3;
+/// hit/miss counters; version 4 dropped `criteria_per_saturation` again
+/// (every saturation answers one criterion).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Sentinel for "no main variant".
 const NO_MAIN: u32 = u32::MAX;
@@ -261,7 +262,6 @@ fn encode_stats(e: &mut Enc, s: &PipelineStats) {
         s.mrd.mrd_states,
         s.mrd.mrd_transitions,
         s.saturations_run,
-        s.criteria_per_saturation,
         s.memo_hits_backward,
         s.memo_misses_backward,
         s.memo_hits_forward,
@@ -520,7 +520,6 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<PipelineStats, SnapshotError> {
     let mrd_states = read("stats.mrd.mrd_states")?;
     let mrd_transitions = read("stats.mrd.mrd_transitions")?;
     let saturations_run = read("stats.saturations_run")?;
-    let criteria_per_saturation = read("stats.criteria_per_saturation")?;
     let memo_hits_backward = read("stats.memo_hits_backward")?;
     let memo_misses_backward = read("stats.memo_misses_backward")?;
     let memo_hits_forward = read("stats.memo_hits_forward")?;
@@ -542,7 +541,6 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<PipelineStats, SnapshotError> {
             mrd_transitions,
         },
         saturations_run,
-        criteria_per_saturation,
         memo_hits_backward,
         memo_misses_backward,
         memo_hits_forward,
@@ -625,7 +623,6 @@ mod tests {
                     mrd_transitions: 8,
                 },
                 saturations_run: 1,
-                criteria_per_saturation: 3,
                 memo_hits_backward: 0,
                 memo_misses_backward: 1,
                 memo_hits_forward: 0,
@@ -710,7 +707,7 @@ mod tests {
     fn committed_v2_snapshot_is_rejected_as_unsupported_version() {
         // A genuine version-2 snapshot written by the previous format
         // revision. The version check runs before the checksum and key
-        // checks, so a v3 reader reports the structured version error —
+        // checks, so a current reader reports the structured version error —
         // which the session manager degrades to a cold open.
         let image = include_bytes!("../tests/fixtures/v2.snap");
         assert!(matches!(

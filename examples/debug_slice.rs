@@ -42,6 +42,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     );
 
+    // The first backward query built the session's saturation base —
+    // `pre*` of the empty query — and every backward query after it only
+    // saturates its own overlay. The base's work is reported here, once;
+    // the `prestar=` field above counts base + overlay transitions.
+    if let Some(base) = slicer.saturation_base() {
+        let b = base.stats();
+        println!(
+            "saturation base (once per session, built {}x): {} transitions, \
+             {} rule applications, peak worklist {}, ~{} bytes",
+            slicer.saturation_base_builds(),
+            b.transitions,
+            b.rule_applications,
+            b.peak_worklist,
+            base.approx_bytes()
+        );
+    }
+
     let regen = slicer.regenerate(&slice)?;
     println!("=== specialized (mutual recursion) ===\n{}", regen.source);
 
@@ -180,11 +197,21 @@ fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
         specslice::criteria::query_automaton(sdg, enc, criterion).expect("criterion")
     });
     stage("cold: query automaton", d);
+    let (base, d) = ac::measure(|| specslice_pds::SaturationBase::backward(&enc.index));
+    stage("session: saturation base", d);
+    let b = base.stats();
+    println!(
+        "    (base: {} transitions, {} rule applications, ~{} KiB retained)",
+        b.transitions,
+        b.rule_applications,
+        base.approx_bytes() / 1024
+    );
     let mut sat = specslice_pds::SaturationScratch::default();
     let (a1, d) = ac::measure(|| {
         specslice_pds::saturate_a1_with_stats(
             specslice_pds::Direction::Backward,
             &enc.index,
+            &base,
             &query,
             MAIN_CONTROL,
             &mut sat,
@@ -192,7 +219,7 @@ fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
         .expect("well-formed query")
         .0
     });
-    stage("cold: saturation + A1", d);
+    stage("cold: overlay saturation + A1", d);
     let ((a6, mrd_stats), d) = ac::measure(|| specslice_fsa::mrd::mrd_of_transposed(a1));
     stage("cold: determinize + MRD", d);
     println!(

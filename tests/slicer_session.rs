@@ -282,9 +282,9 @@ fn from_sdg_sessions_slice_but_cannot_regenerate() {
     );
 }
 
-/// `approx_bytes` charges the warm scratch pool: after a batch leaves
-/// recycled `QueryScratch`es behind, the session's resident estimate is
-/// exactly its component sum *including* the pool (the server's
+/// `approx_bytes` charges the warm scratch pool and the saturation base:
+/// after a batch leaves recycled `QueryScratch`es behind, the session's
+/// resident estimate is exactly its component sum *including* the pool (the server's
 /// `--budget-bytes` LRU eviction would otherwise under-charge warm
 /// sessions by megabytes at scale).
 #[test]
@@ -316,13 +316,176 @@ fn approx_bytes_includes_warm_scratch_pool() {
         scratch.approx_bytes > 0,
         "warm scratch tables have non-zero footprint"
     );
+    let base = slicer
+        .saturation_base()
+        .expect("a backward batch builds the saturation base");
+    assert!(base.approx_bytes() > 0);
     let expected = slicer.sdg().approx_bytes()
         + slicer.encoding().approx_bytes()
         + slicer.store_stats().approx_bytes()
+        + base.approx_bytes()
         + scratch.approx_bytes;
     assert_eq!(
         slicer.approx_bytes(),
         expected,
         "session estimate must be the component sum including the pool"
     );
+}
+
+/// The backward saturation base (`pre*` of the empty query) is built
+/// lazily and exactly once per session state, at every thread count:
+/// opening a session builds none, `slice`, `slice_batch` and
+/// `specialize_program` share one (whichever runs first builds it — a
+/// parallel batch warms it before fanning out), forward-only use never
+/// builds one, and `apply_edit` drops it for a lazy rebuild.
+#[test]
+fn saturation_base_is_built_once_and_only_for_backward_queries() {
+    use specslice::{Direction, ProgramDelta, ProgramEdit};
+    use specslice_corpus::editscript::find_stmt;
+    use specslice_lang::ast::{Expr, Stmt, StmtKind};
+
+    let _guard = serial();
+    let prog = specslice_corpus::by_name("print_tokens").unwrap();
+    for threads in [1, 2, 4] {
+        let config = SlicerConfig {
+            num_threads: threads,
+            ..SlicerConfig::default()
+        };
+
+        // Every backward entry point, in two orders: the first call builds
+        // the base, the rest reuse it.
+        let orders: [&[&str]; 2] = [
+            &["slice", "batch", "specialize"],
+            &["specialize", "batch", "slice"],
+        ];
+        for order in orders {
+            let slicer = Slicer::from_source_with(prog.source, config).unwrap();
+            assert_eq!(slicer.saturation_base_builds(), 0, "opening builds no base");
+            assert!(slicer.saturation_base().is_none());
+            let criteria = per_printf_criteria(&slicer);
+            for step in order {
+                match *step {
+                    "slice" => drop(slicer.slice(&criteria[0]).unwrap()),
+                    "batch" => drop(slicer.slice_batch(&criteria).unwrap()),
+                    _ => drop(slicer.specialize_program(&criteria).unwrap()),
+                }
+                assert_eq!(
+                    slicer.saturation_base_builds(),
+                    1,
+                    "{threads} threads, {order:?}: after {step}"
+                );
+            }
+            let base = slicer.saturation_base().expect("built");
+            assert!(base.transition_count() > 0);
+            assert_eq!(base.stats().transitions, base.transition_count());
+            assert!(base.stats().rule_applications > 0);
+        }
+
+        // Forward-only use builds no base.
+        let forward = Slicer::from_source_with(prog.source, config).unwrap();
+        let criteria = per_printf_criteria(&forward);
+        forward.forward_slice(&criteria[0]).unwrap();
+        forward.forward_slice_batch(&criteria).unwrap();
+        forward
+            .specialize_program_directed(Direction::Forward, &criteria)
+            .unwrap();
+        assert_eq!(forward.saturation_base_builds(), 0, "{threads} threads");
+        assert!(forward.saturation_base().is_none());
+    }
+
+    // `apply_edit` drops the base; memo hits do not rebuild it, and the
+    // first backward miss does — with answers identical to a fresh
+    // session's.
+    const SRC: &str = r#"
+        int g, h;
+        void live(int a) { g = a; }
+        void other(int b) { h = b; }
+        int main() { live(5); other(6); printf("%d", g); printf("%d", h); return 0; }
+    "#;
+    let mut slicer = Slicer::from_source(SRC).unwrap();
+    let criteria = per_printf_criteria(&slicer);
+    slicer.slice_batch(&criteria).unwrap();
+    assert_eq!(slicer.saturation_base_builds(), 1);
+    let program = slicer.program().unwrap().clone();
+    let id = find_stmt(&program, "live", |k| matches!(k, StmtKind::Assign { .. })).unwrap();
+    let delta = ProgramDelta::single(ProgramEdit::ReplaceStmt {
+        id,
+        stmt: Stmt::new(
+            0,
+            StmtKind::Assign {
+                name: "g".into(),
+                value: Expr::Int(7),
+            },
+        ),
+    });
+    let report = slicer.apply_edit(&delta).unwrap();
+    assert!(!report.full_rebuild);
+    assert!(report.memo_kept >= 1, "{report:?}");
+    assert!(
+        slicer.saturation_base().is_none(),
+        "apply_edit drops the base"
+    );
+    assert_eq!(slicer.saturation_base_builds(), 1, "apply_edit builds none");
+    // `printf(h)` lies outside the edit's reach; `printf(g)` does not.
+    let after_edit = per_printf_criteria(&slicer);
+    let hits = slicer.memo_hits();
+    slicer.slice(&after_edit[1]).unwrap();
+    assert_eq!(slicer.memo_hits(), hits + 1, "printf(h) stays memoized");
+    assert_eq!(slicer.saturation_base_builds(), 1, "memo hits build none");
+    let after = slicer.slice(&after_edit[0]).unwrap();
+    assert_eq!(
+        slicer.saturation_base_builds(),
+        2,
+        "the first miss rebuilds"
+    );
+    let fresh = Slicer::from_program(slicer.program().unwrap().clone()).unwrap();
+    assert_same_slice(
+        &after,
+        &fresh.slice(&after_edit[0]).unwrap(),
+        "after the edit",
+    );
+}
+
+/// The session base is exactly the control-target part of a full `pre*`
+/// on every corpus encoding (and a feature grid): the criterion's query
+/// never adds a transition into a control state, so that part is `pre*`
+/// of the empty query whatever the criterion.
+#[test]
+fn saturation_base_is_the_control_target_part_of_each_query() {
+    use specslice_pds::{
+        saturate_indexed_with_stats, Direction, SaturationBase, SaturationScratch,
+    };
+    use std::collections::BTreeSet;
+
+    let _guard = serial();
+    let mut sources: Vec<(String, String)> = specslice_corpus::programs()
+        .into_iter()
+        .map(|p| (p.name.to_string(), p.source.to_string()))
+        .collect();
+    sources.push(("grid12".into(), specslice_corpus::feature_grid(12)));
+    let mut scratch = SaturationScratch::default();
+    for (name, source) in sources {
+        let slicer = Slicer::from_source(&source).unwrap();
+        let enc = slicer.encoding();
+        let base = SaturationBase::backward(&enc.index);
+        let frozen: BTreeSet<_> = base
+            .transitions()
+            .map(|(f, l, t)| (f, Some(l), t))
+            .collect();
+        assert_eq!(frozen.len(), base.transition_count(), "{name}");
+        let mut criteria = per_printf_criteria(&slicer);
+        criteria.push(Criterion::printf_actuals(slicer.sdg()));
+        for criterion in &criteria {
+            let query = specslice::criteria::query_automaton(slicer.sdg(), enc, criterion).unwrap();
+            let (full, _) =
+                saturate_indexed_with_stats(Direction::Backward, &enc.index, &query, &mut scratch)
+                    .unwrap();
+            let control: BTreeSet<_> = full
+                .transitions()
+                .filter(|&(_, _, t)| full.is_control_state(t))
+                .map(|(f, l, t)| (f.0, l, t.0))
+                .collect();
+            assert_eq!(control, frozen, "{name}");
+        }
+    }
 }
