@@ -14,7 +14,7 @@
 //!
 //! Both paths are verified byte-identical before timing. Sessions run one
 //! worker thread, so the comparison isolates incremental reuse from batch
-//! parallelism (see `benches/parallel.rs` for that axis).
+//! parallelism (the query bench covers that axis).
 //!
 //! On hosts with ≥ 2 cores the bench asserts a ≥ 1.5x geometric-mean
 //! speedup; a JSON report goes to stdout (and `$INCREMENTAL_BENCH_JSON`

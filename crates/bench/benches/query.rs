@@ -43,13 +43,24 @@
 //! and 4 worker threads and asserts the rendered slices are byte-identical
 //! — the acceptance gate the dense rewrite must preserve.
 //!
+//! Two wall-clock assertions ride along. Session reuse: on every workload
+//! with several criteria, the same criteria answered by cold one-shot
+//! `specialize` calls (each re-encoding the SDG and rebuilding the
+//! reachable automaton) must be slower than the session, in the geometric
+//! mean over workloads. Thread scaling: on hosts with at least 4 cores,
+//! the 4-worker batches must answer the workloads with at least 4
+//! criteria (a smaller batch cannot spread over 4 workers) at least 1.5x
+//! faster than the 1-worker ones, in total wall-clock. Smaller hosts and
+//! smoke runs, whose single sample is too noisy to gate on, only print
+//! the ratio.
+//!
 //! A final section drives the same queries through the `specslice-server`
 //! daemon over a TCP loopback connection, measuring the full client →
 //! frame → dispatch → memo-hit → frame → client round trip on a warm
 //! session. Those numbers land under the report's top-level `"server"` key
 //! — wall-clock only, so the bench-gate's counter diff never sees them.
 
-use specslice::{Criterion, Slicer, SlicerConfig};
+use specslice::{specialize, Criterion, Slicer, SlicerConfig};
 use specslice_bench::{geometric_mean, timer};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -176,6 +187,8 @@ fn main() {
     println!("{}", timer::header());
 
     let mut rows: Vec<WorkloadRow> = Vec::new();
+    let mut session_speedups: Vec<f64> = Vec::new();
+    let (mut total_t1, mut total_t4) = (Duration::ZERO, Duration::ZERO);
     for (name, source) in workloads() {
         let slicer = Slicer::from_source_with(&source, config()).expect("workload program");
         let criteria: Vec<Criterion> = slicer
@@ -194,6 +207,7 @@ fn main() {
             "{:?}",
             slicer.forward_slice_batch(&criteria).unwrap().slices
         );
+        let mut four_threads = None;
         for t in [2usize, 4] {
             let parallel = Slicer::from_source_with(
                 &source,
@@ -213,7 +227,10 @@ fn main() {
                 fwd, fwd_baseline,
                 "{name}: forward slices diverged at {t} threads"
             );
+            four_threads = Some(parallel);
         }
+        // The 4-worker session, warmed by the checks above.
+        let four_threads = four_threads.expect("the 4-thread session is built last");
 
         // Deterministic counters, summed over the workload's criteria.
         let mut counters = Counters {
@@ -343,6 +360,37 @@ fn main() {
             },
         );
         println!("{}", s.row());
+
+        // The same batch on 4 workers, for the thread-scaling assertion.
+        if criteria.len() >= 4 {
+            let s4 = timer::run(
+                &format!("query/{}-x{}-t4", name, criteria.len()),
+                samples,
+                || {
+                    four_threads.slice_batch(&criteria).unwrap();
+                },
+            );
+            println!("{}", s4.row());
+            total_t1 += s.median;
+            total_t4 += s4.median;
+        }
+
+        // Session reuse against cold one-shot calls, each of which pays
+        // for its own encoding and reachable automaton.
+        if criteria.len() > 1 {
+            let sdg = slicer.sdg().clone();
+            let cold = timer::run(
+                &format!("query/{}-x{}-cold-specialize", name, criteria.len()),
+                samples,
+                || {
+                    for criterion in &criteria {
+                        specialize(&sdg, criterion).unwrap();
+                    }
+                },
+            );
+            println!("{}", cold.row());
+            session_speedups.push(cold.median.as_secs_f64() / s.median.as_secs_f64());
+        }
         rows.push(WorkloadRow {
             name,
             criteria: criteria.len(),
@@ -356,6 +404,26 @@ fn main() {
             .map(|r| r.median_total.as_secs_f64() * 1e6 / r.criteria as f64),
     );
     println!("geomean per-criterion query time: {geomean_us:.1} us");
+
+    let session_gm = geometric_mean(session_speedups.iter().copied());
+    println!("geomean session speedup over cold specialize calls: {session_gm:.2}x");
+    assert!(
+        session_gm > 1.0,
+        "session reuse must beat repeated cold specialize calls (measured {session_gm:.2}x)"
+    );
+    let t4_speedup = total_t1.as_secs_f64() / total_t4.as_secs_f64();
+    println!(
+        "4-thread batch speedup vs 1 (wall-clock, workloads of >= 4 criteria): {t4_speedup:.2}x"
+    );
+    if host >= 4 && !smoke() {
+        assert!(
+            t4_speedup >= 1.5,
+            "4-thread slice_batch must be >= 1.5x over sequential on a >= 4-core host \
+             (measured {t4_speedup:.2}x)"
+        );
+    } else {
+        println!("the 4-thread >= 1.5x assertion arms on >= 4-core hosts outside smoke mode");
+    }
 
     println!("\nserver round trip (warm session, TCP loopback):");
     println!("{}", timer::header());

@@ -77,11 +77,6 @@ impl Encoded {
             .then(|| CallSiteId(s.0 - self.n_vertices))
     }
 
-    /// Every symbol of the stack alphabet `Γ`.
-    pub fn all_symbols(&self) -> impl Iterator<Item = Symbol> {
-        (0..self.n_vertices + self.n_call_sites).map(Symbol)
-    }
-
     /// Estimated resident bytes of the encoding: the PDS rule table, the
     /// prebuilt CSR saturation index over it, and the formal-out control
     /// map. Deterministic (a pure function of rule and vertex counts), so

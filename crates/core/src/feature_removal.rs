@@ -21,8 +21,7 @@ use crate::store::VariantStore;
 use crate::SpecError;
 use specslice_fsa::ops::difference;
 use specslice_fsa::{mrd, Dfa};
-use specslice_pds::poststar::poststar_indexed_with_stats;
-use specslice_pds::SaturationScratch;
+use specslice_pds::{saturate_a1_with_stats, Direction, SaturationBase, SaturationScratch};
 use specslice_sdg::Sdg;
 use std::sync::Arc;
 
@@ -59,16 +58,25 @@ pub fn remove_feature_reusing(
     store: &Arc<VariantStore>,
 ) -> Result<SpecSlice, SpecError> {
     let ac = criteria::query_automaton_reusing(sdg, enc, Some(reachable), criterion)?;
-    // A0 = Poststar(A_C): the feature, as a configuration language. The
-    // query came out of `query_automaton_reusing`, which guarantees the
-    // post* preconditions — a violation here is a slicer bug, but it is
-    // reported as a structured [`SpecError::Pds`] (engine error preserved
-    // as the `source`) rather than a worker-killing panic.
-    let (a0, _) = poststar_indexed_with_stats(&enc.index, &ac, &mut SaturationScratch::default())
-        .map_err(|e| SpecError::pds("poststar", e))?;
-    let a0_nfa = a0.to_nfa(MAIN_CONTROL);
+    // A0 = Poststar(A_C): the feature, as a configuration language, read
+    // from main's control location and trimmed straight from the
+    // saturation rows (as `reachable_configurations` reads its `post*`).
+    // The query came out of `query_automaton_reusing`, which guarantees
+    // the post* preconditions — a violation here is a slicer bug, but it
+    // is reported as a structured [`SpecError::Pds`] (engine error
+    // preserved as the `source`) rather than a worker-killing panic.
+    let mut scratch = SaturationScratch::default();
+    let (a0, _) = saturate_a1_with_stats(
+        Direction::Forward,
+        &enc.index,
+        SaturationBase::empty(),
+        &ac,
+        MAIN_CONTROL,
+        &mut scratch,
+    )
+    .map_err(|e| SpecError::pds("poststar", e))?;
     // A1 = Reachable ∖ A0.
-    let a1 = difference(reachable, &Dfa::determinize(&a0_nfa));
+    let a1 = difference(reachable, &Dfa::determinize(&a0.to_nfa()));
     let (a1, _) = a1.trimmed();
     // Continue at line 4 of Alg. 1.
     let a6 = mrd(&a1);

@@ -142,13 +142,11 @@ pub enum SpecError {
         /// What is wrong with the criterion.
         reason: String,
     },
-    /// A saturation engine ([`prestar`] / [`poststar`]) rejected its query
-    /// automaton. The structured source error is preserved (not flattened to
-    /// a string), so callers can match on the exact precondition that failed
-    /// and error chains render it via [`std::error::Error::source`].
-    ///
-    /// [`prestar`]: specslice_pds::prestar()
-    /// [`poststar`]: specslice_pds::poststar()
+    /// A saturation engine (`pre*` / `post*`, see [`specslice_pds::saturate`])
+    /// rejected its query automaton. The structured source error is
+    /// preserved (not flattened to a string), so callers can match on the
+    /// exact precondition that failed and error chains render it via
+    /// [`std::error::Error::source`].
     Pds {
         /// Which engine invocation failed (e.g. `"prestar"`, `"poststar"`,
         /// `"poststar(reachable)"`).

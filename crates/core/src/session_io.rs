@@ -284,14 +284,16 @@ impl Slicer {
     }
 
     /// Estimated resident bytes of this session: SDG, PDS encoding, variant
-    /// store, memoized automata, the backward saturation base once a query
-    /// has built it, and the warm scratch pool (saturation arenas, row
-    /// tables, and readout buffers retained by idle workers).
+    /// store, memoized automata, the reachable-configuration automaton and
+    /// the backward saturation base once a query has built them, and the
+    /// warm scratch pool (saturation arenas, row tables, and readout
+    /// buffers retained by idle workers).
     /// Built from the deterministic `approx_bytes` helpers
     /// ([`specslice_sdg::Sdg::approx_bytes`],
     /// [`crate::encode::Encoded::approx_bytes`],
     /// [`crate::StoreStats::approx_bytes`],
     /// [`PipelineStats::approx_bytes`],
+    /// [`specslice_fsa::Nfa::approx_bytes`],
     /// [`specslice_pds::SaturationBase::approx_bytes`],
     /// [`crate::ScratchStats`]), so eviction decisions based on it
     /// — the server's session budget — are reproducible across runs.
@@ -309,6 +311,10 @@ impl Slicer {
             + self.enc.approx_bytes()
             + self.store_stats().approx_bytes()
             + memo_bytes
+            + match self.reachable.get() {
+                Some(Ok(nfa)) => nfa.approx_bytes(),
+                _ => 0,
+            }
             + self.saturation_base().map_or(0, |b| b.approx_bytes())
             + self.scratch_stats().approx_bytes
     }

@@ -160,6 +160,19 @@ impl Nfa {
         is_new
     }
 
+    /// Approximate retained bytes: the transition rows, the finals, and
+    /// the hashed dedup set once a wide row has built it. A pure function
+    /// of the automaton's contents, so equal automata report equal sizes.
+    pub fn approx_bytes(&self) -> usize {
+        let edge = std::mem::size_of::<(Option<Symbol>, StateId)>();
+        self.out.len() * std::mem::size_of::<Vec<(Option<Symbol>, StateId)>>()
+            + self.n_transitions * edge
+            + self.finals.len() * std::mem::size_of::<StateId>() * 2
+            + self.seen.as_ref().map_or(0, |seen| {
+                seen.len() * std::mem::size_of::<(StateId, Option<Symbol>, StateId)>() * 2
+            })
+    }
+
     /// Whether a given transition exists.
     pub fn has_transition(&self, from: StateId, label: Option<Symbol>, to: StateId) -> bool {
         match &self.seen {

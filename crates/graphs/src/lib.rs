@@ -3,11 +3,8 @@
 //! The graphs manipulated by the slicer (control-flow graphs, dependence
 //! graphs, call graphs) are all dense, index-based digraphs. This crate
 //! provides one compact representation, [`DiGraph`], plus the classical
-//! algorithms the dependence-graph layer needs:
-//!
-//! * dominator / postdominator trees ([`dominators`], iterative
-//!   Cooper–Harvey–Kennedy),
-//! * reachability and traversal orders ([`reach`]).
+//! algorithm the dependence-graph layer needs: dominator / postdominator
+//! trees ([`dominators`], iterative Cooper–Harvey–Kennedy).
 //!
 //! # Example
 //!
@@ -23,7 +20,6 @@
 
 pub mod digraph;
 pub mod dominators;
-pub mod reach;
 
 pub use digraph::{DiGraph, NodeId};
 pub use dominators::DominatorTree;

@@ -274,7 +274,13 @@ mod tests {
         query.add_transition(query.control_state(q), Some(c), g);
         query.set_final(f);
         query.set_final(g);
-        let post = crate::poststar(&pds, &query).unwrap();
+        let (post, _) = saturate_indexed_with_stats(
+            Direction::Forward,
+            &RuleIndex::new(&pds),
+            &query,
+            &mut SaturationScratch::default(),
+        )
+        .unwrap();
         assert!(post.transitions().any(|(_, l, _)| l.is_none()));
         for dir in [Direction::Forward, Direction::Backward] {
             check(dir, &pds, &query, p);

@@ -4,7 +4,7 @@
 //! accepts `w` starting from the state of `p`.
 
 use crate::system::ControlLoc;
-use specslice_fsa::{FxHashSet, Nfa, Symbol};
+use specslice_fsa::{Nfa, Symbol};
 use std::collections::BTreeSet;
 
 /// A state of a [`PAutomaton`]. States `0..n_controls` coincide with PDS
@@ -20,15 +20,15 @@ impl PState {
 }
 
 /// A finite automaton over stack symbols whose initial states are the PDS
-/// control locations. ε-transitions (`None` labels) arise during `post*`
-/// saturation.
+/// control locations: the query automaton a saturation starts from.
+/// ε-transitions (`None` labels) arise during `post*` saturation.
 #[derive(Clone, Debug)]
 pub struct PAutomaton {
     n_controls: u32,
     n_states: u32,
+    n_transitions: usize,
     finals: BTreeSet<PState>,
     out: Vec<Vec<(Option<Symbol>, PState)>>,
-    seen: FxHashSet<(PState, Option<Symbol>, PState)>,
 }
 
 impl PAutomaton {
@@ -38,9 +38,9 @@ impl PAutomaton {
         PAutomaton {
             n_controls,
             n_states: n_controls,
+            n_transitions: 0,
             finals: BTreeSet::new(),
             out: vec![Vec::new(); n_controls as usize],
-            seen: FxHashSet::default(),
         }
     }
 
@@ -75,7 +75,7 @@ impl PAutomaton {
 
     /// Number of transitions.
     pub fn transition_count(&self) -> usize {
-        self.seen.len()
+        self.n_transitions
     }
 
     /// Marks `s` as accepting.
@@ -89,19 +89,24 @@ impl PAutomaton {
     }
 
     /// Adds a transition (deduplicated); `None` is ε. Returns `true` if new.
+    ///
+    /// Dedup scans the source state's row: a query's rows hold a handful
+    /// of transitions, and a materialized saturation, whose rows are
+    /// already unique, is built without it.
     pub fn add_transition(&mut self, from: PState, sym: Option<Symbol>, to: PState) -> bool {
         assert!(from.0 < self.n_states && to.0 < self.n_states);
-        if self.seen.insert((from, sym, to)) {
-            self.out[from.index()].push((sym, to));
-            true
-        } else {
-            false
+        if self.out[from.index()].contains(&(sym, to)) {
+            return false;
         }
+        self.push_unique(from, sym, to);
+        true
     }
 
-    /// Whether a transition exists.
-    pub fn has_transition(&self, from: PState, sym: Option<Symbol>, to: PState) -> bool {
-        self.seen.contains(&(from, sym, to))
+    /// Appends a transition the caller knows is new.
+    pub(crate) fn push_unique(&mut self, from: PState, sym: Option<Symbol>, to: PState) {
+        debug_assert!(to.0 < self.n_states);
+        self.out[from.index()].push((sym, to));
+        self.n_transitions += 1;
     }
 
     /// Outgoing transitions of `s`.
@@ -179,12 +184,6 @@ impl PAutomaton {
             }
         }
         nfa
-    }
-
-    /// Approximate retained bytes (Fig. 22 accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.seen.len() * std::mem::size_of::<(PState, Option<Symbol>, PState)>() * 2
-            + self.out.len() * std::mem::size_of::<Vec<(Option<Symbol>, PState)>>()
     }
 }
 

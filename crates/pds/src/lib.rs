@@ -4,9 +4,12 @@
 //! `(P, Γ, Δ)` of control locations, stack symbols, and rules with at most
 //! two stack symbols on the right-hand side. Sets of configurations `(p, w)`
 //! are represented by [`PAutomaton`]s (Defn. 3.5); the saturation procedures
-//! [`prestar()`] (Defn. 3.6) and [`poststar()`] (Defn. 3.7) compute automata
+//! `Prestar` (Defn. 3.6) and `Poststar` (Defn. 3.7), one engine in
+//! [`saturate`][mod@saturate] pinned by a [`Direction`], compute automata
 //! for `pre*(C)` and `post*(C)` — backward and forward reachability over the
-//! possibly-infinite transition relation.
+//! possibly-infinite transition relation. [`saturate_a1_with_stats`] reads
+//! the query pipeline's `A1` straight from the saturated rows;
+//! [`saturate_indexed_with_stats`] materializes the whole relation.
 //!
 //! When the PDS encodes an SDG (see `specslice::encode`), `pre*` *is*
 //! stack-configuration slicing of the unrolled SDG, and `post*` is forward
@@ -15,7 +18,10 @@
 //! # Example: the counter PDS
 //!
 //! ```
-//! use specslice_pds::{Pds, PAutomaton, prestar, ControlLoc};
+//! use specslice_pds::{
+//!     saturate_indexed_with_stats, ControlLoc, Direction, PAutomaton, Pds, RuleIndex,
+//!     SaturationScratch,
+//! };
 //! use specslice_fsa::Symbol;
 //!
 //! // One control location; rules: <p, a> -> <p, ε>. pre*{(p, ε)} = (p, a*).
@@ -23,12 +29,14 @@
 //! let a = Symbol(0);
 //! let mut pds = Pds::new(1);
 //! pds.add_pop(p, a, p);
+//! // Accepts exactly (p, ε): the control state itself is final.
 //! let mut query = PAutomaton::new(1);
-//! let f = query.add_state();
-//! query.set_final(f);
-//! // accepts exactly (p, ε): final state reachable by the empty word
 //! query.set_final(query.control_state(p));
-//! let result = prestar(&pds, &query).expect("well-formed query");
+//! let idx = RuleIndex::new(&pds);
+//! let mut scratch = SaturationScratch::default();
+//! let (result, _) =
+//!     saturate_indexed_with_stats(Direction::Backward, &idx, &query, &mut scratch)
+//!         .expect("well-formed query");
 //! assert!(result.accepts(p, &[a, a, a]));
 //! ```
 
@@ -37,8 +45,6 @@ pub mod arena;
 pub mod automaton;
 pub mod base;
 pub mod index;
-pub mod poststar;
-pub mod prestar;
 pub mod saturate;
 pub mod scratch;
 pub mod system;
@@ -46,8 +52,6 @@ pub mod system;
 pub use automaton::{PAutomaton, PState};
 pub use base::SaturationBase;
 pub use index::RuleIndex;
-pub use poststar::poststar;
-pub use prestar::prestar;
 pub use saturate::{
     saturate_a1_with_stats, saturate_indexed_with_stats, Direction, SaturationStats,
 };

@@ -1,14 +1,32 @@
-//! The direction-generic saturation core shared by [`crate::prestar`][mod@crate::prestar] and
-//! [`crate::poststar`][mod@crate::poststar].
+//! The saturation procedures `Prestar` (Defn. 3.6; Esparza et al. 2000)
+//! and `Poststar` (Defn. 3.7; Schwoon 2002, Alg. 2): one engine per
+//! [`Direction`], and the two entries every client goes through.
 //!
-//! Both engines are the same worklist algorithm — seed a transition
-//! relation, fire PDS rules against transitions out of control states until
-//! nothing new appears — differing only in which side of a rule they match
-//! and whether saturation may add states (`post*` adds one Phase-I state
-//! per distinct push-rule target pair and creates ε-transitions via pop
-//! rules; `pre*` does neither). This module holds the one implementation of
-//! each [`Direction`] and the shared query validation, so the two public
-//! modules are thin direction-pinning wrappers and cannot diverge.
+//! Given PDS `P` and P-automaton `A` accepting configuration set `C`,
+//! `pre*` adds transitions until saturation:
+//!
+//! ```text
+//! ⟨p, γ⟩ ↪ ⟨p', w⟩ ∈ Δ     p' –w→* q in A_pre*
+//! ─────────────────────────────────────────────
+//!              p –γ→ q in A_pre*
+//! ```
+//!
+//! and `post*` computes every configuration reachable from `C`, adding one
+//! Phase-I state per distinct push-rule target pair and ε-transitions via
+//! pop rules (`pre*` does neither, so a backward run never adds states).
+//! Both are the same worklist algorithm — seed a transition relation, fire
+//! PDS rules against transitions out of control states until nothing new
+//! appears — on dense structures: rules are matched through a prebuilt
+//! [`RuleIndex`] (two array reads per lookup, shared across every query
+//! over one PDS), and the growing relation lives in bitset-deduped
+//! per-`(state, symbol)` rows inside a reusable [`SaturationScratch`].
+//! Saturation is confluent — the result is the unique least fixpoint over
+//! the query's state set — so none of this changes the answer, only how
+//! fast it arrives.
+//!
+//! [`saturate_a1_with_stats`] is the query path: it reads the query
+//! pipeline's `A1` straight from the rows. [`saturate_indexed_with_stats`]
+//! materializes the whole saturated relation as a [`PAutomaton`].
 //!
 //! The backward engine saturates a query *against* a frozen
 //! [`SaturationBase`]: it reads base ∪ overlay rows and waiters and keeps
@@ -135,11 +153,18 @@ fn validate_query(idx: &RuleIndex, query: &PAutomaton, dir: Direction) -> Result
     Ok(())
 }
 
-/// Computes the saturation of `query` in `dir` against a prebuilt rule
-/// index and caller-owned scratch, materialized as a [`PAutomaton`] — the
-/// entry behind [`crate::prestar::prestar_indexed_with_stats`] and
-/// [`crate::poststar::poststar_indexed_with_stats`], for callers that
-/// need the whole saturated relation.
+/// Computes the saturation of `query` in `dir` (`pre*` or `post*` of its
+/// language) against a prebuilt rule index and caller-owned scratch,
+/// materialized as a [`PAutomaton`], for callers that need the whole
+/// saturated relation. A `post*` result may contain ε-transitions.
+///
+/// # Errors
+///
+/// [`PdsError::MissingControls`] if `query` has fewer control states than
+/// the PDS has control locations, [`PdsError::EpsilonInQuery`] if it has
+/// ε-transitions, and (`post*` only) [`PdsError::TransitionIntoControl`]
+/// if it has transitions *into* control states — the standard P-automaton
+/// preconditions, returned as values so batch workers stay alive.
 pub fn saturate_indexed_with_stats(
     dir: Direction,
     idx: &RuleIndex,
@@ -205,22 +230,25 @@ fn saturate_rows(
     })
 }
 
-/// The saturated automaton: the query, `phase1_states` fresh states, then
-/// every transition in `out`'s rows in deterministic (state-major,
-/// insertion) order. The rows hold the query's own transitions too, so
-/// the query's copies come first and the rows add only inferred ones.
+/// The saturated automaton: the query's states and finals,
+/// `phase1_states` fresh states, then every transition in `out`'s rows in
+/// deterministic (state-major, insertion) order. The rows are unique and
+/// hold the query's own transitions too, so they are pushed without dedup.
 fn materialize(
     query: &PAutomaton,
     phase1_states: usize,
     out: &crate::arena::BumpLists<(u32, u32)>,
 ) -> PAutomaton {
-    let mut aut = query.clone();
-    for _ in 0..phase1_states {
+    let mut aut = PAutomaton::new(query.control_count());
+    for _ in query.control_count() as usize..query.state_count() + phase1_states {
         aut.add_state();
+    }
+    for &f in query.finals() {
+        aut.set_final(f);
     }
     for state in 0..out.n_lists() as u32 {
         for (label, to) in out.iter(state) {
-            aut.add_transition(PState(state), decode_label(label), PState(to));
+            aut.push_unique(PState(state), decode_label(label), PState(to));
         }
     }
     aut
@@ -447,5 +475,448 @@ fn forward_solo(
             + peak_worklist * std::mem::size_of::<(u32, u32, u32)>(),
         rule_applications,
         peak_worklist,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::system::Pds;
+
+    fn sym(i: u32) -> Symbol {
+        Symbol(i)
+    }
+
+    /// One-shot saturation with its statistics: a fresh rule index and
+    /// scratch for this single call.
+    fn run_with_stats(
+        dir: Direction,
+        pds: &Pds,
+        query: &PAutomaton,
+    ) -> Result<(PAutomaton, SaturationStats), PdsError> {
+        let idx = RuleIndex::new(pds);
+        saturate_indexed_with_stats(dir, &idx, query, &mut SaturationScratch::default())
+    }
+
+    /// [`run_with_stats`] without the statistics.
+    fn run(dir: Direction, pds: &Pds, query: &PAutomaton) -> Result<PAutomaton, PdsError> {
+        run_with_stats(dir, pds, query).map(|(aut, _)| aut)
+    }
+
+    /// `pre*` (Defn. 3.6).
+    mod backward {
+        use super::*;
+
+        const DIR: Direction = Direction::Backward;
+
+        /// A query with an ε-transition must be rejected with a structured
+        /// error, not a panic (this used to crash batch worker threads).
+        #[test]
+        fn epsilon_query_is_a_structured_error() {
+            let p = ControlLoc(0);
+            let mut pds = Pds::new(1);
+            pds.add_pop(p, sym(0), p);
+            let mut query = PAutomaton::new(1);
+            let f = query.add_state();
+            query.add_transition(query.control_state(p), None, f);
+            query.set_final(f);
+            let err = run(DIR, &pds, &query).unwrap_err();
+            assert_eq!(err, PdsError::EpsilonInQuery { count: 1 });
+            assert!(err.to_string().contains("ε-free"), "{err}");
+        }
+
+        /// A query lacking control states is likewise a structured error.
+        #[test]
+        fn missing_controls_is_a_structured_error() {
+            let pds = Pds::new(3);
+            let query = PAutomaton::new(1);
+            let err = run_with_stats(DIR, &pds, &query).unwrap_err();
+            assert_eq!(err, PdsError::MissingControls { query: 1, pds: 3 });
+        }
+
+        /// pre* on the "unbounded pop" PDS: rules ⟨p,a⟩↪⟨p,ε⟩;
+        /// pre*{(p,ε)} = (p, a*).
+        #[test]
+        fn pop_star() {
+            let p = ControlLoc(0);
+            let a = sym(0);
+            let mut pds = Pds::new(1);
+            pds.add_pop(p, a, p);
+            let mut query = PAutomaton::new(1);
+            query.set_final(query.control_state(p));
+            let res = run(DIR, &pds, &query).unwrap();
+            for n in 0..5 {
+                assert!(res.accepts(p, &vec![a; n]), "a^{n}");
+            }
+            assert!(!res.accepts(p, &[sym(1)]));
+        }
+
+        /// Internal chain: ⟨p,a⟩↪⟨p,b⟩, ⟨p,b⟩↪⟨p,c⟩; pre*{(p,c)} ⊇ (p,a),(p,b).
+        #[test]
+        fn internal_chain() {
+            let p = ControlLoc(0);
+            let (a, b, c) = (sym(0), sym(1), sym(2));
+            let mut pds = Pds::new(1);
+            pds.add_internal(p, a, p, b);
+            pds.add_internal(p, b, p, c);
+            let mut query = PAutomaton::new(1);
+            let f = query.add_state();
+            query.add_transition(query.control_state(p), Some(c), f);
+            query.set_final(f);
+            let res = run(DIR, &pds, &query).unwrap();
+            assert!(res.accepts(p, &[a]));
+            assert!(res.accepts(p, &[b]));
+            assert!(res.accepts(p, &[c]));
+            assert!(!res.accepts(p, &[a, a]));
+        }
+
+        /// Push matching: ⟨p,a⟩↪⟨p, b c⟩ and ⟨p,b⟩↪⟨p,ε⟩.
+        /// Then (p, a) ⇒ (p, b c) ⇒ (p, c), so (p,a) ∈ pre*{(p, c)}.
+        #[test]
+        fn push_then_pop() {
+            let p = ControlLoc(0);
+            let (a, b, c) = (sym(0), sym(1), sym(2));
+            let mut pds = Pds::new(1);
+            pds.add_push(p, a, p, b, c);
+            pds.add_pop(p, b, p);
+            let mut query = PAutomaton::new(1);
+            let f = query.add_state();
+            query.add_transition(query.control_state(p), Some(c), f);
+            query.set_final(f);
+            let res = run(DIR, &pds, &query).unwrap();
+            assert!(res.accepts(p, &[a]));
+            assert!(res.accepts(p, &[b, c]));
+            assert!(res.accepts(p, &[c]));
+            assert!(!res.accepts(p, &[b]));
+        }
+
+        /// The recursion-shaped language of §2.3: rules produce contexts
+        /// (C C)* at a vertex. PDS: ⟨p,r⟩↪⟨p,r C⟩ models "r depends on r at
+        /// call-site C deeper"; slicing from (p, r) with even unwinding.
+        #[test]
+        fn recursive_context_language() {
+            let p = ControlLoc(0);
+            let r = sym(0);
+            let s = sym(1);
+            let c = sym(10);
+            let d = sym(11);
+            // s at context ε depends on r two frames down: ⟨p,s⟩↪⟨p, r C⟩ then
+            // ⟨p,r⟩↪⟨p, s D⟩ — alternating pushes.
+            let mut pds = Pds::new(1);
+            pds.add_push(p, s, p, r, c);
+            pds.add_push(p, r, p, s, d);
+            let mut query = PAutomaton::new(1);
+            let f = query.add_state();
+            query.add_transition(query.control_state(p), Some(r), f);
+            query.set_final(f);
+            let res = run(DIR, &pds, &query).unwrap();
+            // (p, r) is the criterion itself.
+            assert!(res.accepts(p, &[r]));
+            // (p, s) ⇒ (p, r C): reaches criterion configurations only if the
+            // stack below matches; (s) alone: (p, s) ⇒ (p, r C) ≠ (p, r)… but
+            // pre* is about reaching *some* accepted configuration, and only
+            // (p, r) with empty rest is accepted: so (p, s) is NOT in pre*.
+            assert!(!res.accepts(p, &[s]));
+            // However (p, r) itself and nothing deeper:
+            assert!(!res.accepts(p, &[r, c]));
+        }
+
+        /// Cross-check against concrete exploration on a small random-ish PDS:
+        /// every configuration the symbolic engine claims must concretely reach
+        /// an accepted configuration, and vice versa for enumerable ones.
+        #[test]
+        fn agrees_with_concrete_search() {
+            let p = ControlLoc(0);
+            let q = ControlLoc(1);
+            let (a, b) = (sym(0), sym(1));
+            let mut pds = Pds::new(2);
+            pds.add_push(p, a, p, b, a);
+            pds.add_internal(p, b, q, a);
+            pds.add_pop(q, a, p);
+            // Criterion: {(q, a)}.
+            let mut query = PAutomaton::new(2);
+            let f = query.add_state();
+            query.add_transition(query.control_state(q), Some(a), f);
+            query.set_final(f);
+            let res = run(DIR, &pds, &query).unwrap();
+
+            // Concrete bounded search.
+            let reaches = |loc: ControlLoc, stack: &[Symbol]| -> bool {
+                let mut seen = std::collections::HashSet::new();
+                let mut work = vec![(loc, stack.to_vec())];
+                while let Some((l, st)) = work.pop() {
+                    if l == q && st == vec![a] {
+                        return true;
+                    }
+                    if st.len() > 6 || !seen.insert((l, st.clone())) {
+                        continue;
+                    }
+                    work.extend(pds.step(l, &st));
+                }
+                false
+            };
+            for loc in [p, q] {
+                for stack in [
+                    vec![],
+                    vec![a],
+                    vec![b],
+                    vec![a, a],
+                    vec![b, a],
+                    vec![a, b],
+                    vec![b, b],
+                ] {
+                    assert_eq!(
+                        res.accepts(loc, &stack),
+                        reaches(loc, &stack),
+                        "mismatch at ({loc:?}, {stack:?})"
+                    );
+                }
+            }
+        }
+
+        /// The indexed entry point with a reused scratch answers a sequence of
+        /// different queries identically to the one-shot wrapper — the property
+        /// the session hot path relies on.
+        #[test]
+        fn scratch_reuse_is_invisible() {
+            let p = ControlLoc(0);
+            let (a, b, c) = (sym(0), sym(1), sym(2));
+            let mut pds = Pds::new(1);
+            pds.add_push(p, a, p, b, c);
+            pds.add_pop(p, b, p);
+            pds.add_internal(p, c, p, a);
+            let idx = RuleIndex::new(&pds);
+            let mut scratch = SaturationScratch::default();
+            for target in [a, b, c, a, c] {
+                let mut query = PAutomaton::new(1);
+                let f = query.add_state();
+                query.add_transition(query.control_state(p), Some(target), f);
+                query.set_final(f);
+                let (fresh, fresh_stats) = run_with_stats(DIR, &pds, &query).unwrap();
+                let (reused, reused_stats) =
+                    saturate_indexed_with_stats(DIR, &idx, &query, &mut scratch).unwrap();
+                for word in [
+                    vec![],
+                    vec![a],
+                    vec![b],
+                    vec![c],
+                    vec![a, c],
+                    vec![b, c],
+                    vec![c, c],
+                ] {
+                    assert_eq!(
+                        fresh.accepts(p, &word),
+                        reused.accepts(p, &word),
+                        "target {target:?}, word {word:?}"
+                    );
+                }
+                assert_eq!(fresh_stats.transitions, reused_stats.transitions);
+                assert_eq!(
+                    fresh_stats.rule_applications,
+                    reused_stats.rule_applications
+                );
+            }
+        }
+    }
+
+    /// `post*` (Defn. 3.7).
+    mod forward {
+        use super::*;
+
+        const DIR: Direction = Direction::Forward;
+
+        /// Rules: ⟨p,a⟩↪⟨p, a b⟩. post*{(p, a)} = (p, a b*).
+        #[test]
+        fn push_star() {
+            let p = ControlLoc(0);
+            let (a, b) = (sym(0), sym(1));
+            let mut pds = Pds::new(1);
+            pds.add_push(p, a, p, a, b);
+            let mut query = PAutomaton::new(1);
+            let f = query.add_state();
+            query.add_transition(query.control_state(p), Some(a), f);
+            query.set_final(f);
+            let res = run(DIR, &pds, &query).unwrap();
+            assert!(res.accepts(p, &[a]));
+            assert!(res.accepts(p, &[a, b]));
+            assert!(res.accepts(p, &[a, b, b, b]));
+            assert!(!res.accepts(p, &[b]));
+            assert!(!res.accepts(p, &[a, a]));
+        }
+
+        /// Pop to a different control location: ⟨p,a⟩↪⟨q,ε⟩.
+        /// post*{(p, a b)} ∋ (q, b).
+        #[test]
+        fn pop_moves_control() {
+            let p = ControlLoc(0);
+            let q = ControlLoc(1);
+            let (a, b) = (sym(0), sym(1));
+            let mut pds = Pds::new(2);
+            pds.add_pop(p, a, q);
+            let mut query = PAutomaton::new(2);
+            let m1 = query.add_state();
+            let f = query.add_state();
+            query.add_transition(query.control_state(p), Some(a), m1);
+            query.add_transition(m1, Some(b), f);
+            query.set_final(f);
+            let res = run(DIR, &pds, &query).unwrap();
+            assert!(res.accepts(p, &[a, b]));
+            assert!(res.accepts(q, &[b]));
+            assert!(!res.accepts(q, &[a]));
+            assert!(!res.accepts(p, &[b]));
+        }
+
+        /// Pop then continue: push and pop interplay.
+        /// Rules: ⟨p,a⟩↪⟨p,b c⟩, ⟨p,b⟩↪⟨q,ε⟩, ⟨q,c⟩↪⟨q,d⟩.
+        /// (p,a) ⇒ (p,bc) ⇒ (q,c) ⇒ (q,d).
+        #[test]
+        fn chained_reachability() {
+            let p = ControlLoc(0);
+            let q = ControlLoc(1);
+            let (a, b, c, d) = (sym(0), sym(1), sym(2), sym(3));
+            let mut pds = Pds::new(2);
+            pds.add_push(p, a, p, b, c);
+            pds.add_pop(p, b, q);
+            pds.add_internal(q, c, q, d);
+            let mut query = PAutomaton::new(2);
+            let f = query.add_state();
+            query.add_transition(query.control_state(p), Some(a), f);
+            query.set_final(f);
+            let res = run(DIR, &pds, &query).unwrap();
+            for (loc, stack) in [(p, vec![a]), (p, vec![b, c]), (q, vec![c]), (q, vec![d])] {
+                assert!(res.accepts(loc, &stack), "({loc:?}, {stack:?})");
+            }
+            assert!(!res.accepts(p, &[c]));
+            assert!(!res.accepts(q, &[a]));
+        }
+
+        /// Cross-check with concrete exploration.
+        #[test]
+        fn agrees_with_concrete_search() {
+            let p = ControlLoc(0);
+            let q = ControlLoc(1);
+            let (a, b) = (sym(0), sym(1));
+            let mut pds = Pds::new(2);
+            pds.add_push(p, a, p, b, a);
+            pds.add_internal(p, b, q, a);
+            pds.add_pop(q, a, p);
+            // Start set: {(p, a)}.
+            let mut query = PAutomaton::new(2);
+            let f = query.add_state();
+            query.add_transition(query.control_state(p), Some(a), f);
+            query.set_final(f);
+            let res = run(DIR, &pds, &query).unwrap();
+
+            // Concrete BFS from (p, [a]) bounded by stack depth.
+            let mut reachable = std::collections::HashSet::new();
+            let mut work = vec![(p, vec![a])];
+            while let Some((l, st)) = work.pop() {
+                if st.len() > 5 || !reachable.insert((l, st.clone())) {
+                    continue;
+                }
+                work.extend(pds.step(l, &st));
+            }
+            for loc in [p, q] {
+                for stack in [
+                    vec![],
+                    vec![a],
+                    vec![b],
+                    vec![a, a],
+                    vec![b, a],
+                    vec![a, b],
+                    vec![b, a, a],
+                ] {
+                    let concrete = reachable.contains(&(loc, stack.clone()));
+                    assert_eq!(
+                        res.accepts(loc, &stack),
+                        concrete,
+                        "mismatch at ({loc:?}, {stack:?})"
+                    );
+                }
+            }
+        }
+
+        /// pre* and post* are adjoint: c' ∈ pre*({c}) iff c ∈ post*({c'}).
+        #[test]
+        fn backward_forward_duality() {
+            let p = ControlLoc(0);
+            let (a, b, c) = (sym(0), sym(1), sym(2));
+            let mut pds = Pds::new(1);
+            pds.add_push(p, a, p, b, c);
+            pds.add_pop(p, b, p);
+            pds.add_internal(p, c, p, a);
+
+            // c' = (p, [a]); c = (p, [c]).
+            let mut from_cp = PAutomaton::new(1);
+            let f1 = from_cp.add_state();
+            from_cp.add_transition(from_cp.control_state(p), Some(a), f1);
+            from_cp.set_final(f1);
+            let post = run(DIR, &pds, &from_cp).unwrap();
+
+            let mut from_c = PAutomaton::new(1);
+            let f2 = from_c.add_state();
+            from_c.add_transition(from_c.control_state(p), Some(c), f2);
+            from_c.set_final(f2);
+            let pre = run(Direction::Backward, &pds, &from_c).unwrap();
+
+            assert_eq!(post.accepts(p, &[c]), pre.accepts(p, &[a]));
+            assert!(post.accepts(p, &[c]));
+        }
+
+        /// Malformed queries surface as structured errors, never as panics —
+        /// the same contract the backward engine has had since the batch-worker fixes
+        /// (mirrors `tests/malformed_criteria.rs` at the PDS layer).
+        #[test]
+        fn epsilon_query_is_a_structured_error() {
+            let p = ControlLoc(0);
+            let mut pds = Pds::new(1);
+            pds.add_pop(p, sym(0), p);
+            let mut query = PAutomaton::new(1);
+            let f = query.add_state();
+            query.add_transition(query.control_state(p), None, f);
+            query.set_final(f);
+            let err = run(DIR, &pds, &query).unwrap_err();
+            assert_eq!(err, PdsError::EpsilonInQuery { count: 1 });
+            assert!(err.to_string().contains("ε-free"), "{err}");
+        }
+
+        #[test]
+        fn missing_controls_is_a_structured_error() {
+            let pds = Pds::new(3);
+            let query = PAutomaton::new(1);
+            let err = run_with_stats(DIR, &pds, &query).unwrap_err();
+            assert_eq!(err, PdsError::MissingControls { query: 1, pds: 3 });
+        }
+
+        #[test]
+        fn transition_into_control_state_is_a_structured_error() {
+            let p = ControlLoc(0);
+            let q = ControlLoc(1);
+            let mut pds = Pds::new(2);
+            pds.add_pop(p, sym(0), q);
+            // Two offending transitions: control → control, and interior →
+            // control.
+            let mut query = PAutomaton::new(2);
+            let m = query.add_state();
+            query.add_transition(query.control_state(p), Some(sym(0)), query.control_state(q));
+            query.add_transition(query.control_state(p), Some(sym(1)), m);
+            query.add_transition(m, Some(sym(2)), query.control_state(q));
+            query.set_final(m);
+            let err = run(DIR, &pds, &query).unwrap_err();
+            assert_eq!(err, PdsError::TransitionIntoControl { count: 2 });
+            assert!(err.to_string().contains("control"), "{err}");
+        }
+
+        /// Error precedence mirrors the old assertion order (ε before
+        /// into-control), so diagnostics stay stable.
+        #[test]
+        fn epsilon_reported_before_into_control() {
+            let p = ControlLoc(0);
+            let pds = Pds::new(1);
+            let mut query = PAutomaton::new(1);
+            query.add_transition(query.control_state(p), None, query.control_state(p));
+            let err = run(DIR, &pds, &query).unwrap_err();
+            assert_eq!(err, PdsError::EpsilonInQuery { count: 1 });
+        }
     }
 }

@@ -231,8 +231,8 @@ impl Relation {
 
 /// Reusable saturation buffers — one per worker thread. Allocate once
 /// (`SaturationScratch::default()`), hand `&mut` to every
-/// [`crate::prestar::prestar_indexed_with_stats`] /
-/// [`crate::poststar::poststar_indexed_with_stats`] call.
+/// [`crate::saturate_a1_with_stats`] /
+/// [`crate::saturate_indexed_with_stats`] call.
 #[derive(Debug, Default)]
 pub struct SaturationScratch {
     /// The relation being built.

@@ -327,13 +327,6 @@ impl Sdg {
         (0..self.vertices.len() as u32).map(VertexId)
     }
 
-    /// Call sites whose callee is user procedure `p`.
-    pub fn call_sites_of(&self, p: ProcId) -> impl Iterator<Item = &CallSite> {
-        self.call_sites
-            .iter()
-            .filter(move |c| c.callee == CalleeKind::User(p))
-    }
-
     /// The `printf` call sites, in site order — the per-criterion workload
     /// of the paper's evaluation (one slice per printf).
     pub fn printf_call_sites(&self) -> impl Iterator<Item = &CallSite> {
@@ -379,17 +372,6 @@ impl Sdg {
     pub fn out_slot(&self, v: VertexId) -> Option<&OutSlot> {
         match &self.vertex(v).kind {
             VertexKind::FormalOut { slot } | VertexKind::ActualOut { slot, .. } => Some(slot),
-            _ => None,
-        }
-    }
-
-    /// The statement a vertex is anchored to, if any.
-    pub fn stmt_of(&self, v: VertexId) -> Option<StmtId> {
-        match self.vertex(v).kind {
-            VertexKind::Statement { stmt }
-            | VertexKind::Predicate { stmt }
-            | VertexKind::Jump { stmt }
-            | VertexKind::Call { stmt, .. } => Some(stmt),
             _ => None,
         }
     }

@@ -114,12 +114,6 @@ pub fn forward_closure_slice(sdg: &Sdg, criterion: &[VertexId]) -> BTreeSet<Vert
     })
 }
 
-/// Context-insensitive backward slice: transitive predecessors over every
-/// edge kind (summary edges add nothing here).
-pub fn context_insensitive_backward_slice(sdg: &Sdg, criterion: &[VertexId]) -> BTreeSet<VertexId> {
-    reach_backward(sdg, criterion.iter().copied(), |k| k != EdgeKind::Summary)
-}
-
 /// A Weiser-style executable slice: context-insensitive, with atomic call
 /// sites (a sliced call keeps *all* of its actual parameters) and unchanged
 /// procedure signatures (all formal-ins of touched procedures are kept).
@@ -155,14 +149,6 @@ pub fn weiser_executable_slice(sdg: &Sdg, criterion: &[VertexId]) -> BTreeSet<Ve
         }
         w.extend(additions);
     }
-}
-
-/// Restricts a vertex set to one procedure.
-pub fn restrict_to_proc(sdg: &Sdg, set: &BTreeSet<VertexId>, p: ProcId) -> BTreeSet<VertexId> {
-    set.iter()
-        .copied()
-        .filter(|&v| sdg.vertex(v).proc == p)
-        .collect()
 }
 
 /// Detects parameter mismatches in a vertex set: call sites where the

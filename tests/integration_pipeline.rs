@@ -208,3 +208,61 @@ fn feature_removal_on_corpus_program() {
     // total_lines (first printf) agrees with the original.
     assert_eq!(run.output[0], orig.output[0]);
 }
+
+/// Feature removal reads `post*` of the feature as the trimmed `A1` rows
+/// straight from the saturation. It must give the same residual `A6` as
+/// the composition it replaced, which materialized the whole `post*` and
+/// read it from `main`'s control location: `difference(reachable,
+/// determinize(to_nfa(post*)))`, trimmed, then MRD. Checked on every
+/// corpus program and a feature grid, with every procedure's first
+/// statement and the all-printfs criterion as features.
+#[test]
+fn feature_removal_matches_the_materialized_post_star_composition() {
+    use specslice::criteria;
+    use specslice::encode::MAIN_CONTROL;
+    use specslice_fsa::{mrd, ops::difference, Dfa};
+    use specslice_pds::{saturate_indexed_with_stats, Direction, SaturationScratch};
+
+    let mut sources: Vec<(String, String)> = specslice_corpus::programs()
+        .into_iter()
+        .map(|p| (p.name.to_string(), p.source.to_string()))
+        .collect();
+    sources.push(("grid12".to_string(), specslice_corpus::feature_grid(12)));
+    let mut scratch = SaturationScratch::default();
+    for (name, source) in sources {
+        let slicer = Slicer::from_source(&source).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (sdg, enc) = (slicer.sdg(), slicer.encoding());
+        let reachable = criteria::reachable_configurations(sdg, enc).unwrap();
+        let mut features: Vec<Criterion> = sdg
+            .procs
+            .iter()
+            .filter_map(|p| {
+                p.vertices.iter().copied().find(|&v| {
+                    matches!(
+                        sdg.vertex(v).kind,
+                        specslice_sdg::VertexKind::Statement { .. }
+                    )
+                })
+            })
+            .map(Criterion::vertex)
+            .collect();
+        features.push(Criterion::printf_actuals(sdg));
+        for feature in &features {
+            let query =
+                criteria::query_automaton_reusing(sdg, enc, Some(&reachable), feature).unwrap();
+            let (post, _) =
+                saturate_indexed_with_stats(Direction::Forward, &enc.index, &query, &mut scratch)
+                    .unwrap();
+            let a0 = Dfa::determinize(&post.to_nfa(MAIN_CONTROL));
+            let want = mrd(&difference(&reachable, &a0).trimmed().0);
+            let got = slicer
+                .remove_feature(feature)
+                .unwrap_or_else(|e| panic!("{name}: {feature:?}: {e}"));
+            assert_eq!(
+                format!("{:?}", got.a6),
+                format!("{want:?}"),
+                "{name}: {feature:?}"
+            );
+        }
+    }
+}

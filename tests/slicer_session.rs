@@ -1,7 +1,7 @@
 //! The `Slicer` session contract: batch ≡ individual, cached encodings are
 //! never rebuilt, structured errors classify and chain.
 
-use specslice::{Criterion, Slicer, SlicerConfig, SpecError, SpecSlice};
+use specslice::{criteria, Criterion, Slicer, SlicerConfig, SpecError, SpecSlice};
 use specslice_corpus::{random_program, GenConfig};
 use specslice_sdg::build::build_sdg;
 use std::error::Error as _;
@@ -282,8 +282,9 @@ fn from_sdg_sessions_slice_but_cannot_regenerate() {
     );
 }
 
-/// `approx_bytes` charges the warm scratch pool and the saturation base:
-/// after a batch leaves recycled `QueryScratch`es behind, the session's
+/// `approx_bytes` charges the warm scratch pool, the saturation base and
+/// the reachable-configuration automaton: after a batch of all-contexts
+/// criteria leaves recycled `QueryScratch`es behind, the session's
 /// resident estimate is exactly its component sum *including* the pool (the server's
 /// `--budget-bytes` LRU eviction would otherwise under-charge warm
 /// sessions by megabytes at scale).
@@ -320,9 +321,13 @@ fn approx_bytes_includes_warm_scratch_pool() {
         .saturation_base()
         .expect("a backward batch builds the saturation base");
     assert!(base.approx_bytes() > 0);
+    assert_eq!(slicer.reachable_builds(), 1, "all-contexts criteria");
+    let reachable = criteria::reachable_configurations(slicer.sdg(), slicer.encoding()).unwrap();
+    assert!(reachable.approx_bytes() > 0);
     let expected = slicer.sdg().approx_bytes()
         + slicer.encoding().approx_bytes()
         + slicer.store_stats().approx_bytes()
+        + reachable.approx_bytes()
         + base.approx_bytes()
         + scratch.approx_bytes;
     assert_eq!(
