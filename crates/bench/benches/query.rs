@@ -60,7 +60,7 @@
 //! session. Those numbers land under the report's top-level `"server"` key
 //! — wall-clock only, so the bench-gate's counter diff never sees them.
 
-use specslice::{specialize, Criterion, Slicer, SlicerConfig};
+use specslice::{specialize, Criterion, Direction, Slicer, SlicerConfig};
 use specslice_bench::{geometric_mean, timer};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -94,9 +94,9 @@ fn config() -> SlicerConfig {
 #[derive(Clone, Copy, Debug, Default)]
 struct Counters {
     pds_rules: usize,
-    prestar_transitions: usize,
-    prestar_rule_applications: usize,
-    prestar_peak_worklist: usize,
+    saturation_transitions: usize,
+    saturation_rule_applications: usize,
+    saturation_peak_worklist: usize,
     a1_states: usize,
     a1_transitions: usize,
     det_states: usize,
@@ -127,9 +127,15 @@ struct Counters {
     /// Forward-query counters: every workload criterion re-answered as a
     /// `post*` query through the same cached encoding. Saturated-transition
     /// and rule-application counts measure the forward pipeline's work the
-    /// way the `prestar_*` fields measure the backward one's.
+    /// way the `saturation_*` fields measure the backward one's.
     forward_transitions: usize,
     forward_rule_applications: usize,
+    /// The session's forward saturation base (the `post*` closure of every
+    /// push's first hop), built once for the reachable automaton and all
+    /// of the workload's forward queries: its transitions and its own rule
+    /// applications.
+    forward_base_transitions: usize,
+    forward_base_rule_applications: usize,
     forward_slice_vertices: usize,
     forward_variants: usize,
     /// Chop counters: one chop per workload, from the first statement of
@@ -239,9 +245,9 @@ fn main() {
         };
         for criterion in &criteria {
             let (slice, stats) = slicer.slice_with_stats(criterion).expect("criterion");
-            counters.prestar_transitions += stats.prestar_transitions;
-            counters.prestar_rule_applications += stats.prestar_rule_applications;
-            counters.prestar_peak_worklist += stats.prestar_peak_worklist;
+            counters.saturation_transitions += stats.saturation_transitions;
+            counters.saturation_rule_applications += stats.saturation_rule_applications;
+            counters.saturation_peak_worklist += stats.saturation_peak_worklist;
             counters.a1_states += stats.a1_states;
             counters.a1_transitions += stats.a1_transitions;
             counters.det_states += stats.mrd.determinized_states;
@@ -252,10 +258,14 @@ fn main() {
             counters.variants += slice.variant_count();
         }
         let base = slicer
-            .saturation_base()
+            .saturation_base(Direction::Backward)
             .expect("backward queries build the saturation base")
             .stats();
-        assert_eq!(slicer.saturation_base_builds(), 1, "{name}: one base");
+        assert_eq!(
+            slicer.saturation_base_builds(Direction::Backward),
+            1,
+            "{name}: one backward base"
+        );
         counters.base_transitions = base.transitions;
         counters.base_rule_applications = base.rule_applications;
 
@@ -268,11 +278,22 @@ fn main() {
             let (slice, stats) = slicer
                 .forward_slice_with_stats(criterion)
                 .expect("forward criterion");
-            counters.forward_transitions += stats.prestar_transitions;
-            counters.forward_rule_applications += stats.prestar_rule_applications;
+            counters.forward_transitions += stats.saturation_transitions;
+            counters.forward_rule_applications += stats.saturation_rule_applications;
             counters.forward_slice_vertices += slice.total_vertices();
             counters.forward_variants += slice.variant_count();
         }
+        let forward_base = slicer
+            .saturation_base(Direction::Forward)
+            .expect("forward queries build the forward base")
+            .stats();
+        assert_eq!(
+            slicer.saturation_base_builds(Direction::Forward),
+            1,
+            "{name}: one forward base"
+        );
+        counters.forward_base_transitions = forward_base.transitions;
+        counters.forward_base_rule_applications = forward_base.rule_applications;
         if let Some(source) = chop_source(&slicer) {
             let chop = slicer
                 .chop(&source, &Criterion::printf_actuals(slicer.sdg()))
@@ -543,17 +564,17 @@ fn render_json(
         let _ = writeln!(
             s,
             "        \"prestar_transitions\": {},",
-            c.prestar_transitions
+            c.saturation_transitions
         );
         let _ = writeln!(
             s,
             "        \"prestar_rule_applications\": {},",
-            c.prestar_rule_applications
+            c.saturation_rule_applications
         );
         let _ = writeln!(
             s,
             "        \"prestar_peak_worklist\": {},",
-            c.prestar_peak_worklist
+            c.saturation_peak_worklist
         );
         let _ = writeln!(s, "        \"a1_states\": {},", c.a1_states);
         let _ = writeln!(s, "        \"a1_transitions\": {},", c.a1_transitions);
@@ -584,6 +605,16 @@ fn render_json(
             s,
             "        \"forward_rule_applications\": {},",
             c.forward_rule_applications
+        );
+        let _ = writeln!(
+            s,
+            "        \"forward_base_transitions\": {},",
+            c.forward_base_transitions
+        );
+        let _ = writeln!(
+            s,
+            "        \"forward_base_rule_applications\": {},",
+            c.forward_base_rule_applications
         );
         let _ = writeln!(
             s,

@@ -28,7 +28,7 @@
 //! the CI configuration. The smallest tier also asserts byte-identical
 //! batches at 1, 2, and 4 worker threads.
 
-use specslice::{Criterion, Slicer, SlicerConfig};
+use specslice::{Criterion, Direction, Slicer, SlicerConfig};
 use specslice_bench::{alloc_count, timer};
 use specslice_corpus::{scale_program, skewed_site_sample, ScaleConfig};
 use std::fmt::Write as _;
@@ -186,14 +186,14 @@ fn main() {
         // runs in. Its aggregate carries the gated saturation counters.
         let batch = slicer.slice_batch(&criteria).expect("batch");
         counters.saturations_run = batch.aggregate.saturations_run;
-        counters.rule_applications = batch.aggregate.prestar_rule_applications;
+        counters.rule_applications = batch.aggregate.saturation_rule_applications;
         let base = slicer
-            .saturation_base()
+            .saturation_base(Direction::Backward)
             .expect("the backward batch builds the saturation base")
             .stats();
         counters.base_transitions = base.transitions;
         counters.base_rule_applications = base.rule_applications;
-        counters.transitions = batch.aggregate.prestar_transitions;
+        counters.transitions = batch.aggregate.saturation_transitions;
         for slice in &batch.slices {
             counters.slice_vertices += slice.total_vertices();
             counters.variants += slice.variant_count();

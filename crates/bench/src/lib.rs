@@ -80,7 +80,9 @@ pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
         let query = criteria::query_automaton(sdg, enc, &criterion).expect("criterion");
         let ta = Instant::now();
         let mut sat = SaturationScratch::default();
-        let base = slicer.saturation_base().unwrap_or(SaturationBase::empty());
+        let base = slicer
+            .saturation_base(Direction::Backward)
+            .unwrap_or(SaturationBase::empty());
         let (a1, _) = saturate_a1_with_stats(
             Direction::Backward,
             &enc.index,
@@ -130,7 +132,7 @@ pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
             mono_time,
             poly_time,
             automata_time,
-            automata_bytes: stats.prestar_peak_bytes + a6.transition_count() * 24,
+            automata_bytes: stats.saturation_peak_bytes + a6.transition_count() * 24,
             sdg_bytes: sdg.approx_bytes(),
             det_states: stats.mrd.determinized_states,
             min_states: stats.mrd.minimized_states,

@@ -195,6 +195,23 @@ pub fn query_automaton_reusing(
 /// [`source`](std::error::Error::source)) rather than a panic inside
 /// whatever worker thread first touched the session's reachable automaton.
 pub fn reachable_configurations(sdg: &Sdg, enc: &Encoded) -> Result<Nfa, SpecError> {
+    reachable_configurations_over(sdg, enc, SaturationBase::empty())
+}
+
+/// [`reachable_configurations`] over a saturation base: `base` must be
+/// [`SaturationBase::empty`] (the whole `post*` is saturated here) or the
+/// forward base of `enc`'s rule index ([`SaturationBase::forward`]), which
+/// a session shares with its forward queries so that it saturates the
+/// program forward once. Either gives the same automaton.
+///
+/// # Errors
+///
+/// As [`reachable_configurations`].
+pub fn reachable_configurations_over(
+    sdg: &Sdg,
+    enc: &Encoded,
+    base: &SaturationBase,
+) -> Result<Nfa, SpecError> {
     let mut ae = PAutomaton::new(enc.pds.control_count());
     let f = ae.add_state();
     ae.set_final(f);
@@ -210,7 +227,7 @@ pub fn reachable_configurations(sdg: &Sdg, enc: &Encoded) -> Result<Nfa, SpecErr
     let (a1, _) = specslice_pds::saturate_a1_with_stats(
         Direction::Forward,
         &enc.index,
-        SaturationBase::empty(),
+        base,
         &ae,
         MAIN_CONTROL,
         &mut scratch,

@@ -41,18 +41,22 @@ pub fn remove_feature(sdg: &Sdg, criterion: &Criterion) -> Result<SpecSlice, Spe
     remove_feature_reusing(
         sdg,
         &enc,
+        SaturationBase::empty(),
         &reachable,
         criterion,
         &Arc::new(VariantStore::new()),
     )
 }
 
-/// [`remove_feature`] against a session's cached encoding, reachable
-/// automaton (Alg. 2 always needs both), and variant store (the residual
-/// slice's content is interned there).
+/// [`remove_feature`] against a session's cached encoding, forward
+/// saturation base ([`SaturationBase::forward`] of `enc`'s rule index, or
+/// [`SaturationBase::empty`]), reachable automaton (Alg. 2 always needs
+/// both), and variant store (the residual slice's content is interned
+/// there).
 pub fn remove_feature_reusing(
     sdg: &Sdg,
     enc: &encode::Encoded,
+    base: &SaturationBase,
     reachable: &specslice_fsa::Nfa,
     criterion: &Criterion,
     store: &Arc<VariantStore>,
@@ -69,7 +73,7 @@ pub fn remove_feature_reusing(
     let (a0, _) = saturate_a1_with_stats(
         Direction::Forward,
         &enc.index,
-        SaturationBase::empty(),
+        base,
         &ac,
         MAIN_CONTROL,
         &mut scratch,

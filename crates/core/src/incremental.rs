@@ -306,9 +306,9 @@ impl Slicer {
         self.enc = enc;
         self.store = new_store;
         self.reachable = reachable;
-        // The base is `pre*` of the empty query over the old encoding;
-        // dropped for lazy rebuild, so an edit never pays for it.
-        self.saturation_base = OnceLock::new();
+        // The bases saturate the old encoding; dropped for lazy rebuild,
+        // so an edit never pays for them.
+        self.saturation_bases = Default::default();
         *self.memo.write().unwrap_or_else(|e| e.into_inner()) = kept;
         report
     }
@@ -328,7 +328,7 @@ impl Slicer {
         self.enc = enc;
         self.store = Arc::new(VariantStore::new());
         self.reachable = OnceLock::new();
-        self.saturation_base = OnceLock::new();
+        self.saturation_bases = Default::default();
         self.memo.write().unwrap_or_else(|e| e.into_inner()).clear();
         Ok(EditReport {
             memo_dropped: dropped,
@@ -362,11 +362,12 @@ fn call_descendants(sdg: &Sdg, seeds: impl IntoIterator<Item = String>) -> BTree
 
 #[cfg(test)]
 mod tests {
-    use crate::{Criterion, Slicer};
+    use crate::{Criterion, Direction, Slicer};
 
-    /// The full-rebuild fallback drops the saturation base like the patch
-    /// path does; the next backward query rebuilds it over the new
-    /// encoding and answers like a fresh session.
+    /// The full-rebuild fallback drops both saturation bases like the
+    /// patch path does; the next query rebuilds them over the new encoding
+    /// and answers like a fresh session. (An all-contexts criterion builds
+    /// the reachable automaton, which reads the forward base.)
     #[test]
     fn full_rebuild_drops_the_saturation_base() {
         const SRC: &str = r#"
@@ -377,17 +378,21 @@ mod tests {
         let mut slicer = Slicer::from_source(SRC).unwrap();
         let all = Criterion::printf_actuals(slicer.sdg());
         slicer.slice(&all).unwrap();
-        assert_eq!(slicer.saturation_base_builds(), 1);
+        let builds = |s: &Slicer| {
+            [Direction::Backward, Direction::Forward].map(|d| s.saturation_base_builds(d))
+        };
+        assert_eq!(builds(&slicer), [1, 1]);
 
         let program = slicer.program().unwrap().clone();
         let report = slicer.rebuild_for(program.clone()).unwrap();
         assert!(report.full_rebuild);
-        assert!(slicer.saturation_base().is_none());
-        assert_eq!(slicer.saturation_base_builds(), 1);
+        assert!(slicer.saturation_base(Direction::Backward).is_none());
+        assert!(slicer.saturation_base(Direction::Forward).is_none());
+        assert_eq!(builds(&slicer), [1, 1]);
 
         let all = Criterion::printf_actuals(slicer.sdg());
         let again = slicer.slice(&all).unwrap();
-        assert_eq!(slicer.saturation_base_builds(), 2);
+        assert_eq!(builds(&slicer), [2, 2]);
         let fresh = Slicer::from_program(program).unwrap();
         assert_eq!(
             format!("{again:?}"),

@@ -257,28 +257,29 @@ pub struct PipelineStats {
     /// `|Δ|` of the encoded PDS.
     pub pds_rules: usize,
     /// Transitions in this query's saturated automaton (`Prestar` for
-    /// backward queries, `Poststar` for forward ones; the field name keeps
-    /// the historical spelling for serialization stability), the session
-    /// base's included: the size of the whole relation, however it was
-    /// split. An answer-size field: replays keep the size recorded when
-    /// the answer was computed.
-    pub prestar_transitions: usize,
+    /// backward queries, `Poststar` for forward ones): base + overlay, the
+    /// relation the query reads. Backward that is the size of the exact
+    /// `pre*`, however it was split; a forward base also holds the
+    /// closures of Phase-I states the query never triggers, so forward
+    /// this can exceed the exact `post*` size. An answer-size field:
+    /// replays keep the size recorded when the answer was computed.
+    pub saturation_transitions: usize,
     /// Peak bytes retained during saturation (Fig. 22 accounting) by this
-    /// query's own structures; a backward query's session base is charged
+    /// query's own structures; the session's saturation bases are charged
     /// once, in [`Slicer::approx_bytes`]. A work field: `0` on memo hits
     /// and fanned-out batch duplicates, which ran no saturation.
-    pub prestar_peak_bytes: usize,
+    pub saturation_peak_bytes: usize,
     /// Saturation-rule firings this query did itself, beyond the session
-    /// base (a backward query extends `pre*` of the empty query, whose own
-    /// firings are reported once in [`Slicer::saturation_base`]'s stats;
-    /// forward queries and one-shot calls saturate everything themselves).
-    /// A deterministic work measure (independent of machine and thread
-    /// count). `0` on memo hits and fanned-out batch duplicates.
-    pub prestar_rule_applications: usize,
+    /// base of its direction (whose own firings are reported once in
+    /// [`Slicer::saturation_base`]'s stats; one-shot calls saturate
+    /// everything themselves). A deterministic work measure (independent
+    /// of machine and thread count). `0` on memo hits and fanned-out batch
+    /// duplicates.
+    pub saturation_rule_applications: usize,
     /// Peak depth of this query's own saturation worklist, beyond the
     /// session base (deterministic for a given build). `0` on memo hits
     /// and fanned-out batch duplicates.
-    pub prestar_peak_worklist: usize,
+    pub saturation_peak_worklist: usize,
     /// States of the trimmed `A1`: the saturated language read from
     /// `main`'s control location, written straight from the saturation
     /// rows (`specslice_pds::saturate_a1_with_stats`). The count is that
@@ -292,7 +293,7 @@ pub struct PipelineStats {
     pub mrd: MrdStats,
     /// Saturations this query paid for: `1` for every computed query, `0`
     /// for memo hits and fanned-out batch duplicates (which keep the
-    /// answer-size fields — `prestar_transitions`, `a1_*`, `mrd` — recorded
+    /// answer-size fields — `saturation_transitions`, `a1_*`, `mrd` — recorded
     /// when the answer was computed). A batch aggregate therefore counts
     /// the distinct criteria that missed the memo.
     pub saturations_run: usize,
@@ -320,10 +321,12 @@ impl PipelineStats {
     /// `pds_rules` describes the shared encoding and is kept as-is.
     pub fn absorb(&mut self, other: &PipelineStats) {
         self.pds_rules = self.pds_rules.max(other.pds_rules);
-        self.prestar_transitions += other.prestar_transitions;
-        self.prestar_peak_bytes = self.prestar_peak_bytes.max(other.prestar_peak_bytes);
-        self.prestar_rule_applications += other.prestar_rule_applications;
-        self.prestar_peak_worklist = self.prestar_peak_worklist.max(other.prestar_peak_worklist);
+        self.saturation_transitions += other.saturation_transitions;
+        self.saturation_peak_bytes = self.saturation_peak_bytes.max(other.saturation_peak_bytes);
+        self.saturation_rule_applications += other.saturation_rule_applications;
+        self.saturation_peak_worklist = self
+            .saturation_peak_worklist
+            .max(other.saturation_peak_worklist);
         self.a1_states += other.a1_states;
         self.a1_transitions += other.a1_transitions;
         self.mrd.input_states += other.mrd.input_states;
@@ -357,9 +360,9 @@ impl PipelineStats {
     /// consistent with each other (and with the docs).
     pub fn summary(&self) -> String {
         format!(
-            "rules={} prestar={}t a1={}s/{}t mrd={}s/{}t memo=b{}h/{}m f{}h/{}m time={:.1?}",
+            "rules={} saturation={}t a1={}s/{}t mrd={}s/{}t memo=b{}h/{}m f{}h/{}m time={:.1?}",
             self.pds_rules,
-            self.prestar_transitions,
+            self.saturation_transitions,
             self.a1_states,
             self.a1_transitions,
             self.mrd.mrd_states,

@@ -285,7 +285,7 @@ impl Slicer {
 
     /// Estimated resident bytes of this session: SDG, PDS encoding, variant
     /// store, memoized automata, the reachable-configuration automaton and
-    /// the backward saturation base once a query has built them, and the
+    /// the saturation bases once something has built them, and the
     /// warm scratch pool (saturation arenas, row tables, and readout
     /// buffers retained by idle workers).
     /// Built from the deterministic `approx_bytes` helpers
@@ -315,7 +315,11 @@ impl Slicer {
                 Some(Ok(nfa)) => nfa.approx_bytes(),
                 _ => 0,
             }
-            + self.saturation_base().map_or(0, |b| b.approx_bytes())
+            + [Direction::Backward, Direction::Forward]
+                .into_iter()
+                .filter_map(|dir| self.saturation_base(dir))
+                .map(|b| b.approx_bytes())
+                .sum::<usize>()
             + self.scratch_stats().approx_bytes
     }
 }

@@ -147,14 +147,17 @@ pub struct Slicer {
     /// instead of one caller panicking on behalf of the rest).
     pub(crate) reachable: OnceLock<Result<Nfa, SpecError>>,
     pub(crate) reachable_builds: AtomicUsize,
-    /// `pre*` of the empty query, frozen: the criterion-independent part of
-    /// every backward saturation, which each backward query then only
-    /// extends (see `specslice_pds::base`). Built by the first backward
-    /// query that misses the memo, then shared; never built by session
-    /// construction, forward-only use, or [`Slicer::apply_edit`], which
-    /// drops it.
-    pub(crate) saturation_base: OnceLock<Arc<SaturationBase>>,
-    saturation_base_builds: AtomicUsize,
+    /// One saturation base per direction, indexed by [`dir_slot`]: the
+    /// criterion-independent part of every saturation in that direction,
+    /// which each query then only extends (see `specslice_pds::base`) —
+    /// `pre*` of the empty query backward, the closure of every push's
+    /// first hop forward. The backward base is built by the first backward
+    /// query that misses the memo; the forward one by the first forward
+    /// query that misses it or the first build of the reachable automaton,
+    /// which reads it too. Never built by session construction or
+    /// [`Slicer::apply_edit`], which drops both.
+    pub(crate) saturation_bases: [OnceLock<Arc<SaturationBase>>; 2],
+    saturation_base_builds: [AtomicUsize; 2],
     queries_run: AtomicUsize,
     /// Criterion → cached-slice memo (see [`SlicerConfig::memoize`]).
     /// Shared read-mostly across batch workers; [`Slicer::apply_edit`]
@@ -415,8 +418,8 @@ impl Slicer {
             store: Arc::new(VariantStore::new()),
             reachable: OnceLock::new(),
             reachable_builds: AtomicUsize::new(0),
-            saturation_base: OnceLock::new(),
-            saturation_base_builds: AtomicUsize::new(0),
+            saturation_bases: Default::default(),
+            saturation_base_builds: Default::default(),
             queries_run: AtomicUsize::new(0),
             memo: RwLock::new(HashMap::new()),
             memo_hits: AtomicUsize::new(0),
@@ -465,21 +468,22 @@ impl Slicer {
         self.reachable_builds.load(Ordering::Relaxed)
     }
 
-    /// How many times the backward saturation base (`pre*` of the empty
-    /// query) was built: 0 until a backward query misses the memo, then 1
-    /// until an edit drops it. Like the reachable automaton, the cache is
-    /// race-free when a parallel batch forces it.
-    pub fn saturation_base_builds(&self) -> usize {
-        self.saturation_base_builds.load(Ordering::Relaxed)
+    /// How many times the `dir` saturation base was built: 0 until a
+    /// query in that direction misses the memo (forward: or the reachable
+    /// automaton is built), then 1 until an edit drops it. Like the
+    /// reachable automaton, the cache is race-free when a parallel batch
+    /// forces it.
+    pub fn saturation_base_builds(&self, dir: Direction) -> usize {
+        self.saturation_base_builds[dir_slot(dir)].load(Ordering::Relaxed)
     }
 
-    /// The session's backward saturation base, if a query has built it.
+    /// The session's `dir` saturation base, if something has built it.
     /// Its [`SaturationBase::stats`] are the base's own saturation work,
-    /// reported once per session; each backward query's
-    /// [`PipelineStats::prestar_rule_applications`] counts only its work
+    /// reported once per session; each query's
+    /// [`PipelineStats::saturation_rule_applications`] counts only its work
     /// beyond the base.
-    pub fn saturation_base(&self) -> Option<&SaturationBase> {
-        self.saturation_base.get().map(|b| &**b)
+    pub fn saturation_base(&self, dir: Direction) -> Option<&SaturationBase> {
+        self.saturation_bases[dir_slot(dir)].get().map(|b| &**b)
     }
 
     /// Total queries answered by this session (slices, batch members, and
@@ -538,27 +542,30 @@ impl Slicer {
         self.memo.read().unwrap_or_else(|e| e.into_inner()).len()
     }
 
-    /// The cached `post*({⟨entry_main, ε⟩})` automaton.
+    /// The cached `post*({⟨entry_main, ε⟩})` automaton, saturated over
+    /// the session's forward base.
     fn reachable(&self) -> Result<&Nfa, SpecError> {
         self.reachable
             .get_or_init(|| {
                 self.reachable_builds.fetch_add(1, Ordering::Relaxed);
-                criteria::reachable_configurations(&self.sdg, &self.enc)
+                let base = self.base_for(Direction::Forward);
+                criteria::reachable_configurations_over(&self.sdg, &self.enc, base)
             })
             .as_ref()
             .map_err(Clone::clone)
     }
 
-    /// The base a `dir` saturation runs over: the session's cached `pre*`
-    /// base backward (built on first use), the empty base forward.
+    /// The base a `dir` saturation runs over: the session's cached base of
+    /// that direction, built on first use.
     fn base_for(&self, dir: Direction) -> &SaturationBase {
-        match dir {
-            Direction::Backward => self.saturation_base.get_or_init(|| {
-                self.saturation_base_builds.fetch_add(1, Ordering::Relaxed);
-                Arc::new(SaturationBase::backward(&self.enc.index))
-            }),
-            Direction::Forward => SaturationBase::empty(),
-        }
+        let slot = dir_slot(dir);
+        self.saturation_bases[slot].get_or_init(|| {
+            self.saturation_base_builds[slot].fetch_add(1, Ordering::Relaxed);
+            Arc::new(match dir {
+                Direction::Backward => SaturationBase::backward(&self.enc.index),
+                Direction::Forward => SaturationBase::forward(&self.enc.index),
+            })
+        })
     }
 
     fn query(&self, criterion: &Criterion) -> Result<PAutomaton, SpecError> {
@@ -773,8 +780,8 @@ impl Slicer {
     /// so the workers start against warm caches instead of serializing on
     /// their initialization locks: the reachable automaton when a criterion
     /// is all-contexts (a build *failure* is cached and surfaces
-    /// per-criterion, so it is deliberately ignored here), and the backward
-    /// saturation base when a backward criterion will miss the memo.
+    /// per-criterion, so it is deliberately ignored here), and the
+    /// direction's saturation base when a criterion will miss the memo.
     fn warm_caches_for(&self, dir: Direction, criteria: &[Criterion]) {
         if self.reachable.get().is_none()
             && criteria
@@ -783,7 +790,7 @@ impl Slicer {
         {
             let _ = self.reachable();
         }
-        if dir == Direction::Backward && self.saturation_base.get().is_none() {
+        if self.saturation_base(dir).is_none() {
             let misses = !self.config.memoize || {
                 let memo = self.memo.read().unwrap_or_else(|e| e.into_inner());
                 criteria
@@ -1034,6 +1041,7 @@ impl Slicer {
         feature_removal::remove_feature_reusing(
             &self.sdg,
             &self.enc,
+            self.base_for(Direction::Forward),
             self.reachable()?,
             criterion,
             &self.store,
@@ -1169,6 +1177,14 @@ fn annotate_with_index(e: SpecError, i: usize) -> SpecError {
     }
 }
 
+/// A direction's index into the session's per-direction caches.
+pub(crate) fn dir_slot(dir: Direction) -> usize {
+    match dir {
+        Direction::Backward => 0,
+        Direction::Forward => 1,
+    }
+}
+
 /// The engine-stage name errors are tagged with, per direction.
 fn dir_stage(dir: Direction) -> &'static str {
     match dir {
@@ -1182,9 +1198,9 @@ fn dir_stage(dir: Direction) -> &'static str {
 /// answer, but the work fields count only what this query did, which is
 /// nothing.
 fn replayed(mut stats: PipelineStats) -> PipelineStats {
-    stats.prestar_rule_applications = 0;
-    stats.prestar_peak_worklist = 0;
-    stats.prestar_peak_bytes = 0;
+    stats.saturation_rule_applications = 0;
+    stats.saturation_peak_worklist = 0;
+    stats.saturation_peak_bytes = 0;
     stats.saturations_run = 0;
     stats
 }
@@ -1236,8 +1252,8 @@ pub(crate) fn run_query(
 
 /// [`run_query`] against caller-owned scratch buffers, so a batch worker's
 /// hot loop reuses its saturation rows and read-out tables across criteria,
-/// and against a saturation base (the session's `pre*` base backward, so
-/// the query only saturates its own overlay).
+/// and against a saturation base (the session's base of `dir`, so the
+/// query only saturates its own overlay).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_query_in(
     dir: Direction,
@@ -1265,10 +1281,10 @@ pub(crate) fn run_query_in(
     )?;
     let stats = PipelineStats {
         pds_rules: enc.pds.rule_count(),
-        prestar_transitions: satstats.transitions,
-        prestar_peak_bytes: satstats.peak_bytes,
-        prestar_rule_applications: satstats.rule_applications,
-        prestar_peak_worklist: satstats.peak_worklist,
+        saturation_transitions: satstats.transitions,
+        saturation_peak_bytes: satstats.peak_bytes,
+        saturation_rule_applications: satstats.rule_applications,
+        saturation_peak_worklist: satstats.peak_worklist,
         a1_states,
         a1_transitions,
         mrd: mrd_stats,

@@ -28,11 +28,13 @@
 //! pipeline's `A1` straight from the rows. [`saturate_indexed_with_stats`]
 //! materializes the whole saturated relation as a [`PAutomaton`].
 //!
-//! The backward engine saturates a query *against* a frozen
-//! [`SaturationBase`]: it reads base ∪ overlay rows and waiters and keeps
-//! only the query's own transitions in the scratch overlay. An empty base
-//! makes it the textbook engine over the whole relation, and the base
-//! itself is that engine run on the empty query — there is one engine.
+//! Each engine saturates a query *against* a frozen [`SaturationBase`] of
+//! its direction, keeping only the query's own transitions in the scratch
+//! overlay: backward, rule matching reads base ∪ overlay rows and
+//! waiters; forward, the base already holds every push's first hop and
+//! the closure of its Phase-I state. An empty base makes either the
+//! textbook engine over the whole relation, and a base is that same
+//! engine run on no query — there is one engine per direction.
 //!
 //! Labels are stored encoded as `u32`: `0` is ε, a stack symbol `γ` is
 //! `γ + 1`. The backward engines never produce label `0`.
@@ -93,11 +95,12 @@ impl fmt::Display for Direction {
 /// Fig. 22 memory accounting; the counters feed the query benchmark's
 /// deterministic drift gate.
 ///
-/// For a run over a [`SaturationBase`], `transitions` is the size of the
-/// whole saturated relation (base + overlay), while the work fields
-/// (`rule_applications`, `peak_worklist`, `peak_bytes`) count only the
-/// run's own work beyond the base; the base reports its own work once, in
-/// [`SaturationBase::stats`].
+/// For a run over a [`SaturationBase`], `transitions` is base + overlay:
+/// the relation the query reads (backward, the exact `pre*`; forward, it
+/// also counts the closures of Phase-I states the query never triggers).
+/// The work fields (`rule_applications`, `peak_worklist`, `peak_bytes`)
+/// count only the run's own work beyond the base; the base reports its
+/// own work once, in [`SaturationBase::stats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SaturationStats {
     /// Transitions in the saturated automaton (including ε for `post*`).
@@ -179,13 +182,14 @@ pub fn saturate_indexed_with_stats(
 }
 
 /// The session hot path: runs the same engine as
-/// [`saturate_indexed_with_stats`] — backward runs against `base` — then
-/// builds the query pipeline's `A1` (the saturated language read from
-/// control location `p`, trimmed) straight from base + overlay rows into
-/// `scratch`, without materializing the saturated automaton.
+/// [`saturate_indexed_with_stats`], against `base`, then builds the query
+/// pipeline's `A1` (the saturated language read from control location
+/// `p`, trimmed) straight from base + overlay rows into `scratch`,
+/// without materializing the saturated automaton.
 ///
-/// `base` must be [`SaturationBase::empty`] or built over `idx`
-/// ([`SaturationBase::backward`]); forward runs ignore it. The result is
+/// `base` must be [`SaturationBase::empty`] or built in `dir` over `idx`
+/// ([`SaturationBase::backward`], [`SaturationBase::forward`]). Either
+/// gives the same `A1`. The result is
 /// `to_nfa(p).trimmed().0` of what [`saturate_indexed_with_stats`]
 /// returns, in the transposed form
 /// [`specslice_fsa::mrd::mrd_of_transposed`] reads, with the same state
@@ -194,7 +198,8 @@ pub fn saturate_indexed_with_stats(
 ///
 /// # Panics
 ///
-/// When a non-empty `base` was built over a rule index of another shape.
+/// When a non-empty `base` was built over a rule index of another shape
+/// or in the other direction.
 pub fn saturate_a1_with_stats<'s>(
     dir: Direction,
     idx: &RuleIndex,
@@ -203,19 +208,16 @@ pub fn saturate_a1_with_stats<'s>(
     p: ControlLoc,
     scratch: &'s mut SaturationScratch,
 ) -> Result<(&'s TransposedNfa, SaturationStats), PdsError> {
-    let base = match dir {
-        Direction::Backward => base,
-        Direction::Forward => SaturationBase::empty(),
-    };
-    base.check_index(idx);
+    base.check(idx, dir);
     let stats = saturate_rows(dir, idx, base, query, scratch)?;
     let p = query.control_state(p).0;
+    let base = base.view(query.state_count() as u32);
     let SaturationScratch { rel, a1, .. } = scratch;
     Ok((a1.build(base, rel, query.finals(), p), stats))
 }
 
-/// Validates `query` and saturates it into `scratch`'s rows (backward:
-/// the overlay over `base`).
+/// Validates `query` and saturates it into `scratch`'s rows: the overlay
+/// over `base`.
 fn saturate_rows(
     dir: Direction,
     idx: &RuleIndex,
@@ -226,7 +228,7 @@ fn saturate_rows(
     validate_query(idx, query, dir)?;
     Ok(match dir {
         Direction::Backward => backward_solo(idx, base, query, scratch),
-        Direction::Forward => forward_solo(idx, query, scratch),
+        Direction::Forward => forward_solo(idx, base, query, scratch),
     })
 }
 
@@ -375,19 +377,45 @@ pub(crate) fn backward_solo(
     }
 }
 
-/// The `post*` worklist engine (Schwoon 2002, Alg. 2) on a validated query.
+/// The `post*` worklist engine (Schwoon 2002, Alg. 2) on a validated
+/// query, run against `base`.
 fn forward_solo(
     idx: &RuleIndex,
+    base: &SaturationBase,
     query: &PAutomaton,
     scratch: &mut SaturationScratch,
 ) -> SaturationStats {
-    // Phase I: one fresh state per distinct (p', γ') push-rule target pair,
-    // numbered densely after the query's states (the numbering lives in the
-    // rule index, so Phase II looks pairs up without hashing).
-    let n_query_states = query.state_count() as u32;
+    let seeds = query.transitions().map(|(f, l, t)| {
+        let sym = l.expect("ε-freedom checked above");
+        debug_assert!(sym.0 < u32::MAX, "symbol id overflows the ε encoding");
+        (f.0, sym.0 + 1, t.0)
+    });
+    let mut stats = forward_engine(idx, base, query.state_count() as u32, seeds, scratch);
+    stats.query_transitions = query.transition_count();
+    stats
+}
+
+/// The `post*` engine over `n_query_states` states (controls first) plus
+/// one Phase-I state per push pair, numbered densely after them (the
+/// numbering lives in the rule index, so pairs are looked up without
+/// hashing), saturating the encoded `seeds`.
+///
+/// With a forward `base` (see `crate::base`), the run is an overlay: every
+/// transition it adds targets one of the query's states. A push's first
+/// hop is the base's, so it is not added again, and ε-combination on a
+/// Phase-I state reads the base's ε-predecessors. The base's own edges
+/// need no other visit: they all target Phase-I states, so nothing the
+/// overlay adds can combine with them except through those two reads.
+/// With the empty base this is the engine over the whole relation.
+pub(crate) fn forward_engine(
+    idx: &RuleIndex,
+    base: &SaturationBase,
+    n_query_states: u32,
+    seeds: impl Iterator<Item = (u32, u32, u32)>,
+    scratch: &mut SaturationScratch,
+) -> SaturationStats {
     let phase1_states = idx.push_pairs().len();
-    let n_states = n_query_states + phase1_states as u32;
-    scratch.reset(n_states);
+    scratch.reset(n_query_states + phase1_states as u32);
     let SaturationScratch {
         rel,
         worklist,
@@ -395,6 +423,8 @@ fn forward_solo(
         tmp_pairs,
         ..
     } = scratch;
+    let first_hops_in_base = !base.is_empty();
+    let view = base.view(n_query_states);
 
     fn add(
         rel: &mut Relation,
@@ -412,9 +442,8 @@ fn forward_solo(
         sym.0 + 1
     };
 
-    for (f, l, t) in query.transitions() {
-        let sym = l.expect("ε-freedom checked above");
-        add(rel, worklist, f.0, enc(sym), t.0);
+    for (f, label, t) in seeds {
+        add(rel, worklist, f, label, t);
     }
 
     let n_controls = idx.control_count();
@@ -438,7 +467,9 @@ fn forward_solo(
                         Rhs::Internal(g2) => add(rel, worklist, r.to_loc.0, enc(g2), t),
                         Rhs::Push(g1, g2) => {
                             let mid = n_query_states + r.push_pair;
-                            add(rel, worklist, r.to_loc.0, enc(g1), mid);
+                            if !first_hops_in_base {
+                                add(rel, worklist, r.to_loc.0, enc(g1), mid);
+                            }
                             add(rel, worklist, mid, enc(g2), t);
                         }
                     }
@@ -448,12 +479,13 @@ fn forward_solo(
             // `add` never touches `eps_into`, so the row is iterated in
             // place (unlike the ε-branch below, which snapshots `out[t]`
             // because `add` appends to `out`).
-            for q2 in eps_into.iter(f) {
+            for q2 in view.eps_preds(f).chain(eps_into.iter(f)) {
                 rule_applications += 1;
                 add(rel, worklist, q2, label, t);
             }
         } else {
-            // f –ε→ t: combine with all labeled t –sym→ u.
+            // f –ε→ t: combine with all labeled t –sym→ u. An overlay ε
+            // targets a query state, which has no base out-edges.
             eps_into.push(t, f);
             tmp_pairs.clear();
             tmp_pairs.extend(rel.out.iter(t).filter(|&(l2, _)| l2 != 0));
@@ -464,12 +496,12 @@ fn forward_solo(
         }
     }
 
-    let transitions = rel.out.item_count();
+    let overlay = rel.out.item_count();
     SaturationStats {
-        transitions,
-        query_transitions: query.transition_count(),
+        transitions: base.transition_count() + overlay,
+        query_transitions: 0,
         phase1_states,
-        peak_bytes: transitions * 40
+        peak_bytes: overlay * 40
             + rel.rows.len() * 48
             + eps_into.live_bytes()
             + peak_worklist * std::mem::size_of::<(u32, u32, u32)>(),

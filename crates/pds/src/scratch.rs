@@ -202,8 +202,8 @@ pub(crate) struct Relation {
     pub(crate) rows: RowTable,
     /// Per-state adjacency `(label, to)`, in insertion order.
     pub(crate) out: BumpLists<(u32, u32)>,
-    /// Per-state predecessors: the sources of the transitions into it.
-    pub(crate) into: BumpLists<u32>,
+    /// Per-state predecessors `(from, label)`: the transitions into it.
+    pub(crate) into: BumpLists<(u32, u32)>,
 }
 
 impl Relation {
@@ -219,7 +219,7 @@ impl Relation {
         let fresh = self.rows.insert(from, label, to);
         if fresh {
             self.out.push(from, (label, to));
-            self.into.push(to, from);
+            self.into.push(to, (from, label));
         }
         fresh
     }
@@ -327,7 +327,7 @@ mod tests {
         s.reset(4);
         assert!(s.rel.insert(3, 1, 2));
         assert!(!s.rel.insert(3, 1, 2));
-        assert_eq!(s.rel.into.iter(2).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(s.rel.into.iter(2).collect::<Vec<_>>(), vec![(3, 1)]);
         s.eps_into.push(2, 9);
         s.reset(2);
         assert_eq!(s.rel.out.n_lists(), 2);

@@ -2,10 +2,11 @@
 //! (Esparza et al. 2000; Schwoon 2002) as naive fixpoints over a
 //! `BTreeSet` of transitions, with no rule index, no scratch and no
 //! worklist. The production `A1` — built by the worklist engine straight
-//! from its rows, backward runs both over the whole relation and over the
-//! empty query's frozen `pre*` base — must accept the same language as the
-//! oracle's trimmed `A1`, on hand-built systems and on small seeded random
-//! ones.
+//! from its rows, each run both over the whole relation and over its
+//! direction's frozen base (`pre*` of the empty query, or the `post*`
+//! closure of every push's first hop) — must accept the same language as
+//! the oracle's trimmed `A1`, on hand-built systems and on small seeded
+//! random ones.
 
 use specslice_fsa::mrd::mrd_of_transposed;
 use specslice_fsa::{ops, Nfa, StateId, Symbol};
@@ -151,51 +152,67 @@ fn a1(sat: &Saturated, p: u32) -> Nfa {
     nfa.trimmed().0
 }
 
+/// The frozen bases of one PDS, one per direction.
+struct Bases {
+    backward: SaturationBase,
+    forward: SaturationBase,
+}
+
+impl Bases {
+    fn of(pds: &Pds) -> Bases {
+        let idx = RuleIndex::new(pds);
+        Bases {
+            backward: SaturationBase::backward(&idx),
+            forward: SaturationBase::forward(&idx),
+        }
+    }
+}
+
 /// Checks the production `A1` against the oracle's for every control
-/// location and both directions; backward runs go once over the whole
-/// relation and once over `base` (the empty query's frozen `pre*` over the
-/// same PDS). For `pre*` the saturated relations themselves must have the
+/// location and both directions; each direction runs once over the whole
+/// relation and once over its frozen base in `bases` (built over the same
+/// PDS). For `pre*` the saturated relations themselves must have the
 /// same size: both are the least fixpoint over the query's states.
 /// (`post*`'s worklist engine adds ε-shortcut transitions the textbook
-/// relation does not have, so only the languages are compared there.) A
-/// query with a transition into a control state is outside `post*`'s
-/// preconditions, so only `pre*` is checked for it.
-fn check(pds: &Pds, query: &PAutomaton, base: &SaturationBase, scratch: &mut SaturationScratch) {
+/// relation does not have, and its base holds closures the query never
+/// triggers, so only the languages are compared with the oracle there;
+/// the two forward runs must build `A1`s of the same size.) A query with
+/// a transition into a control state is outside `post*`'s preconditions,
+/// so only `pre*` is checked for it.
+fn check(pds: &Pds, query: &PAutomaton, bases: &Bases, scratch: &mut SaturationScratch) {
     let idx = RuleIndex::new(pds);
     let into_control = query
         .transitions()
         .any(|(_, _, t)| query.is_control_state(t));
-    let mut runs = vec![
-        (
-            Direction::Backward,
-            SaturationBase::empty(),
-            prestar(pds, query),
-        ),
-        (Direction::Backward, base, prestar(pds, query)),
-    ];
+    let mut runs = vec![(Direction::Backward, prestar(pds, query))];
     if !into_control {
-        runs.push((
-            Direction::Forward,
-            SaturationBase::empty(),
-            poststar(pds, query),
-        ));
+        runs.push((Direction::Forward, poststar(pds, query)));
     }
-    for (dir, over, oracle) in runs {
+    for (dir, oracle) in runs {
+        let base = match dir {
+            Direction::Backward => &bases.backward,
+            Direction::Forward => &bases.forward,
+        };
         for p in 0..pds.control_count() {
-            let (got, stats) =
-                saturate_a1_with_stats(dir, &idx, over, query, ControlLoc(p), scratch)
-                    .expect("well-formed query");
             let want = a1(&oracle, p);
-            // `A6` accepts exactly `A1`'s language.
-            assert!(
-                ops::equivalent(&mrd_of_transposed(got).0, &want),
-                "{dir} A1 from p{p} (base: {} transitions) differs from the oracle's\n\
-                 pds: {pds:?}\nquery: {query:?}",
-                over.transition_count()
-            );
-            if dir == Direction::Backward {
-                assert_eq!(stats.transitions, oracle.rel.len(), "{pds:?}\n{query:?}");
+            let mut sizes = Vec::new();
+            for over in [SaturationBase::empty(), base] {
+                let (got, stats) =
+                    saturate_a1_with_stats(dir, &idx, over, query, ControlLoc(p), scratch)
+                        .expect("well-formed query");
+                sizes.push((got.state_count(), got.transition_count()));
+                // `A6` accepts exactly `A1`'s language.
+                assert!(
+                    ops::equivalent(&mrd_of_transposed(got).0, &want),
+                    "{dir} A1 from p{p} (base: {} transitions) differs from the oracle's\n\
+                     pds: {pds:?}\nquery: {query:?}",
+                    over.transition_count()
+                );
+                if dir == Direction::Backward {
+                    assert_eq!(stats.transitions, oracle.rel.len(), "{pds:?}\n{query:?}");
+                }
             }
+            assert_eq!(sizes[0], sizes[1], "{dir} A1 from p{p}\n{pds:?}\n{query:?}");
         }
     }
 }
@@ -222,9 +239,9 @@ fn hand_built_systems_match_the_oracle() {
     let (a, b, c) = (Symbol(0), Symbol(1), Symbol(2));
     let mut scratch = SaturationScratch::default();
     let mut check_all = |pds: &Pds, queries: &[PAutomaton]| {
-        let base = SaturationBase::backward(&RuleIndex::new(pds));
+        let bases = Bases::of(pds);
         for query in queries {
-            check(pds, query, &base, &mut scratch);
+            check(pds, query, &bases, &mut scratch);
         }
     };
 
@@ -342,19 +359,20 @@ fn random_query(rng: &mut Rng, n_controls: u32, n_symbols: u32, into_control: bo
     query
 }
 
-/// 300 seeded PDSs, each with one frozen base and one scratch serving
-/// several queries — some with transitions into control states, where the
-/// base saves little but the answer must still be exact.
+/// 300 seeded PDSs, each with one frozen base per direction and one
+/// scratch serving several queries — some with transitions into control
+/// states, where the backward base saves little but the answer must still
+/// be exact.
 #[test]
 fn random_systems_match_the_oracle() {
     let mut scratch = SaturationScratch::default();
     for seed in 1..=300u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         let (pds, n_symbols) = random_pds(&mut rng);
-        let base = SaturationBase::backward(&RuleIndex::new(&pds));
+        let bases = Bases::of(&pds);
         for i in 0..6 {
             let query = random_query(&mut rng, pds.control_count(), n_symbols, i >= 4);
-            check(&pds, &query, &base, &mut scratch);
+            check(&pds, &query, &bases, &mut scratch);
         }
     }
 }

@@ -250,10 +250,10 @@ fn encode_nfa(e: &mut Enc, a: &Nfa) {
 fn encode_stats(e: &mut Enc, s: &PipelineStats) {
     for v in [
         s.pds_rules,
-        s.prestar_transitions,
-        s.prestar_peak_bytes,
-        s.prestar_rule_applications,
-        s.prestar_peak_worklist,
+        s.saturation_transitions,
+        s.saturation_peak_bytes,
+        s.saturation_rule_applications,
+        s.saturation_peak_worklist,
         s.a1_states,
         s.a1_transitions,
         s.mrd.input_states,
@@ -508,10 +508,10 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<PipelineStats, SnapshotError> {
         usize::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("{field} {v} exceeds usize")))
     };
     let pds_rules = read("stats.pds_rules")?;
-    let prestar_transitions = read("stats.prestar_transitions")?;
-    let prestar_peak_bytes = read("stats.prestar_peak_bytes")?;
-    let prestar_rule_applications = read("stats.prestar_rule_applications")?;
-    let prestar_peak_worklist = read("stats.prestar_peak_worklist")?;
+    let saturation_transitions = read("stats.saturation_transitions")?;
+    let saturation_peak_bytes = read("stats.saturation_peak_bytes")?;
+    let saturation_rule_applications = read("stats.saturation_rule_applications")?;
+    let saturation_peak_worklist = read("stats.saturation_peak_worklist")?;
     let a1_states = read("stats.a1_states")?;
     let a1_transitions = read("stats.a1_transitions")?;
     let input_states = read("stats.mrd.input_states")?;
@@ -527,10 +527,10 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<PipelineStats, SnapshotError> {
     let micros = d.u64("stats.query_micros")?;
     Ok(PipelineStats {
         pds_rules,
-        prestar_transitions,
-        prestar_peak_bytes,
-        prestar_rule_applications,
-        prestar_peak_worklist,
+        saturation_transitions,
+        saturation_peak_bytes,
+        saturation_rule_applications,
+        saturation_peak_worklist,
         a1_states,
         a1_transitions,
         mrd: MrdStats {
@@ -609,10 +609,10 @@ mod tests {
             main_variant: Some(0),
             stats: PipelineStats {
                 pds_rules: 10,
-                prestar_transitions: 20,
-                prestar_peak_bytes: 30,
-                prestar_rule_applications: 40,
-                prestar_peak_worklist: 5,
+                saturation_transitions: 20,
+                saturation_peak_bytes: 30,
+                saturation_rule_applications: 40,
+                saturation_peak_worklist: 5,
                 a1_states: 6,
                 a1_transitions: 7,
                 mrd: MrdStats {

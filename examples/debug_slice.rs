@@ -16,7 +16,7 @@
 //! cargo run -p specslice-bench --example debug_slice --features count-alloc -- --alloc
 //! ```
 
-use specslice::{Criterion, Slicer};
+use specslice::{Criterion, Direction, Slicer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = specslice_corpus::examples::FIG2;
@@ -42,21 +42,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     );
 
-    // The first backward query built the session's saturation base —
-    // `pre*` of the empty query — and every backward query after it only
-    // saturates its own overlay. The base's work is reported here, once;
-    // the `prestar=` field above counts base + overlay transitions.
-    if let Some(base) = slicer.saturation_base() {
-        let b = base.stats();
-        println!(
-            "saturation base (once per session, built {}x): {} transitions, \
-             {} rule applications, peak worklist {}, ~{} bytes",
-            slicer.saturation_base_builds(),
-            b.transitions,
-            b.rule_applications,
-            b.peak_worklist,
-            base.approx_bytes()
-        );
+    // The first backward query built the session's two saturation bases:
+    // backward, `pre*` of the empty query, and forward, the `post*`
+    // closure of every push's first hop, which the reachable automaton
+    // this all-contexts criterion needs is read over. Every query after
+    // them only saturates its own overlay. Each base's work is reported
+    // here, once; the `saturation=` field above counts base + overlay
+    // transitions.
+    for dir in [Direction::Backward, Direction::Forward] {
+        if let Some(base) = slicer.saturation_base(dir) {
+            let b = base.stats();
+            println!(
+                "{dir} saturation base (once per session, built {}x): {} transitions, \
+                 {} rule applications, peak worklist {}, ~{} bytes",
+                slicer.saturation_base_builds(dir),
+                b.transitions,
+                b.rule_applications,
+                b.peak_worklist,
+                base.approx_bytes()
+            );
+        }
     }
 
     let regen = slicer.regenerate(&slice)?;
@@ -197,21 +202,42 @@ fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
         specslice::criteria::query_automaton(sdg, enc, criterion).expect("criterion")
     });
     stage("cold: query automaton", d);
-    let (base, d) = ac::measure(|| specslice_pds::SaturationBase::backward(&enc.index));
-    stage("session: saturation base", d);
-    let b = base.stats();
-    println!(
-        "    (base: {} transitions, {} rule applications, ~{} KiB retained)",
-        b.transitions,
-        b.rule_applications,
-        base.approx_bytes() / 1024
-    );
     let mut sat = specslice_pds::SaturationScratch::default();
+    let mut bases = Vec::new();
+    for dir in [Direction::Backward, Direction::Forward] {
+        let (base, d) = ac::measure(|| match dir {
+            Direction::Backward => specslice_pds::SaturationBase::backward(&enc.index),
+            Direction::Forward => specslice_pds::SaturationBase::forward(&enc.index),
+        });
+        stage(&format!("session: {dir} base"), d);
+        let b = base.stats();
+        println!(
+            "    ({dir} base: {} transitions, {} rule applications, ~{} KiB retained)",
+            b.transitions,
+            b.rule_applications,
+            base.approx_bytes() / 1024
+        );
+        bases.push(base);
+    }
+    // The forward overlay of the same criterion, over the forward base.
+    let (_, d) = ac::measure(|| {
+        specslice_pds::saturate_a1_with_stats(
+            Direction::Forward,
+            &enc.index,
+            &bases[1],
+            &query,
+            MAIN_CONTROL,
+            &mut sat,
+        )
+        .expect("well-formed query")
+        .1
+    });
+    stage("cold: forward overlay + A1", d);
     let (a1, d) = ac::measure(|| {
         specslice_pds::saturate_a1_with_stats(
-            specslice_pds::Direction::Backward,
+            Direction::Backward,
             &enc.index,
-            &base,
+            &bases[0],
             &query,
             MAIN_CONTROL,
             &mut sat,
@@ -219,7 +245,7 @@ fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
         .expect("well-formed query")
         .0
     });
-    stage("cold: overlay saturation + A1", d);
+    stage("cold: backward overlay + A1", d);
     let ((a6, mrd_stats), d) = ac::measure(|| specslice_fsa::mrd::mrd_of_transposed(a1));
     stage("cold: determinize + MRD", d);
     println!(

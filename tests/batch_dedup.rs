@@ -115,14 +115,14 @@ fn per_criterion_saturations_equal_distinct_keys() {
     let (mut transitions, mut a1_transitions) = (0, 0);
     for c in &criteria {
         let (_, stats) = solo.slice_with_stats(c).unwrap();
-        transitions += stats.prestar_transitions;
+        transitions += stats.saturation_transitions;
         a1_transitions += stats.a1_transitions;
     }
     for memoize in [false, true] {
         for threads in [1usize, 2] {
             let slicer = scale_1k(config(threads, memoize));
             let back = slicer.slice_batch(&criteria).unwrap();
-            assert_eq!(back.aggregate.prestar_transitions, transitions);
+            assert_eq!(back.aggregate.saturation_transitions, transitions);
             assert_eq!(back.aggregate.a1_transitions, a1_transitions);
             assert_eq!(
                 back.aggregate.saturations_run, distinct,
@@ -139,7 +139,7 @@ fn per_criterion_saturations_equal_distinct_keys() {
 fn work(batch: &BatchResult) -> (usize, usize) {
     (
         batch.aggregate.saturations_run,
-        batch.aggregate.prestar_rule_applications,
+        batch.aggregate.saturation_rule_applications,
     )
 }
 
@@ -167,11 +167,11 @@ fn memo_on_and_off_report_equal_work() {
 
         let replay = on.slice_batch(&criteria).unwrap();
         assert_eq!(work(&replay), (0, 0), "replays do no work");
-        assert_eq!(replay.aggregate.prestar_peak_worklist, 0);
-        assert_eq!(replay.aggregate.prestar_peak_bytes, 0);
+        assert_eq!(replay.aggregate.saturation_peak_worklist, 0);
+        assert_eq!(replay.aggregate.saturation_peak_bytes, 0);
         assert_eq!(replay.aggregate.memo_hits_backward, criteria.len());
         assert_eq!(
-            replay.aggregate.prestar_transitions, batch_on.aggregate.prestar_transitions,
+            replay.aggregate.saturation_transitions, batch_on.aggregate.saturation_transitions,
             "answer sizes survive the replay"
         );
         assert_eq!(

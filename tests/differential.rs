@@ -76,8 +76,8 @@ fn memo_fingerprint(slicer: &Slicer) -> String {
                 e.variants,
                 e.main_variant,
                 (
-                    s.prestar_transitions,
-                    s.prestar_rule_applications,
+                    s.saturation_transitions,
+                    s.saturation_rule_applications,
                     s.a1_states,
                     s.a1_transitions,
                     s.mrd.mrd_states,

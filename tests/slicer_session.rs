@@ -1,7 +1,7 @@
 //! The `Slicer` session contract: batch ≡ individual, cached encodings are
 //! never rebuilt, structured errors classify and chain.
 
-use specslice::{criteria, Criterion, Slicer, SlicerConfig, SpecError, SpecSlice};
+use specslice::{criteria, Criterion, Direction, Slicer, SlicerConfig, SpecError, SpecSlice};
 use specslice_corpus::{random_program, GenConfig};
 use specslice_sdg::build::build_sdg;
 use std::error::Error as _;
@@ -251,7 +251,7 @@ fn config_controls_stats_and_validation() {
         without.per_criterion.is_empty(),
         "stats collection disabled"
     );
-    assert!(with.aggregate.prestar_transitions > 0);
+    assert!(with.aggregate.saturation_transitions > 0);
     for (a, b) in with.slices.iter().zip(&without.slices) {
         assert_same_slice(a, b, "validate toggle must not change slices");
     }
@@ -318,10 +318,14 @@ fn approx_bytes_includes_warm_scratch_pool() {
         "warm scratch tables have non-zero footprint"
     );
     let base = slicer
-        .saturation_base()
+        .saturation_base(Direction::Backward)
         .expect("a backward batch builds the saturation base");
     assert!(base.approx_bytes() > 0);
     assert_eq!(slicer.reachable_builds(), 1, "all-contexts criteria");
+    let forward_base = slicer
+        .saturation_base(Direction::Forward)
+        .expect("the reachable automaton builds the forward base");
+    assert!(forward_base.approx_bytes() > 0);
     let reachable = criteria::reachable_configurations(slicer.sdg(), slicer.encoding()).unwrap();
     assert!(reachable.approx_bytes() > 0);
     let expected = slicer.sdg().approx_bytes()
@@ -329,6 +333,7 @@ fn approx_bytes_includes_warm_scratch_pool() {
         + slicer.store_stats().approx_bytes()
         + reachable.approx_bytes()
         + base.approx_bytes()
+        + forward_base.approx_bytes()
         + scratch.approx_bytes;
     assert_eq!(
         slicer.approx_bytes(),
@@ -345,7 +350,7 @@ fn approx_bytes_includes_warm_scratch_pool() {
 /// builds one, and `apply_edit` drops it for a lazy rebuild.
 #[test]
 fn saturation_base_is_built_once_and_only_for_backward_queries() {
-    use specslice::{Direction, ProgramDelta, ProgramEdit};
+    use specslice::{ProgramDelta, ProgramEdit};
     use specslice_corpus::editscript::find_stmt;
     use specslice_lang::ast::{Expr, Stmt, StmtKind};
 
@@ -365,8 +370,12 @@ fn saturation_base_is_built_once_and_only_for_backward_queries() {
         ];
         for order in orders {
             let slicer = Slicer::from_source_with(prog.source, config).unwrap();
-            assert_eq!(slicer.saturation_base_builds(), 0, "opening builds no base");
-            assert!(slicer.saturation_base().is_none());
+            assert_eq!(
+                slicer.saturation_base_builds(Direction::Backward),
+                0,
+                "opening builds no base"
+            );
+            assert!(slicer.saturation_base(Direction::Backward).is_none());
             let criteria = per_printf_criteria(&slicer);
             for step in order {
                 match *step {
@@ -375,18 +384,18 @@ fn saturation_base_is_built_once_and_only_for_backward_queries() {
                     _ => drop(slicer.specialize_program(&criteria).unwrap()),
                 }
                 assert_eq!(
-                    slicer.saturation_base_builds(),
+                    slicer.saturation_base_builds(Direction::Backward),
                     1,
                     "{threads} threads, {order:?}: after {step}"
                 );
             }
-            let base = slicer.saturation_base().expect("built");
+            let base = slicer.saturation_base(Direction::Backward).expect("built");
             assert!(base.transition_count() > 0);
             assert_eq!(base.stats().transitions, base.transition_count());
             assert!(base.stats().rule_applications > 0);
         }
 
-        // Forward-only use builds no base.
+        // Forward-only use builds no backward base.
         let forward = Slicer::from_source_with(prog.source, config).unwrap();
         let criteria = per_printf_criteria(&forward);
         forward.forward_slice(&criteria[0]).unwrap();
@@ -394,8 +403,12 @@ fn saturation_base_is_built_once_and_only_for_backward_queries() {
         forward
             .specialize_program_directed(Direction::Forward, &criteria)
             .unwrap();
-        assert_eq!(forward.saturation_base_builds(), 0, "{threads} threads");
-        assert!(forward.saturation_base().is_none());
+        assert_eq!(
+            forward.saturation_base_builds(Direction::Backward),
+            0,
+            "{threads} threads"
+        );
+        assert!(forward.saturation_base(Direction::Backward).is_none());
     }
 
     // `apply_edit` drops the base; memo hits do not rebuild it, and the
@@ -410,7 +423,7 @@ fn saturation_base_is_built_once_and_only_for_backward_queries() {
     let mut slicer = Slicer::from_source(SRC).unwrap();
     let criteria = per_printf_criteria(&slicer);
     slicer.slice_batch(&criteria).unwrap();
-    assert_eq!(slicer.saturation_base_builds(), 1);
+    assert_eq!(slicer.saturation_base_builds(Direction::Backward), 1);
     let program = slicer.program().unwrap().clone();
     let id = find_stmt(&program, "live", |k| matches!(k, StmtKind::Assign { .. })).unwrap();
     let delta = ProgramDelta::single(ProgramEdit::ReplaceStmt {
@@ -427,19 +440,27 @@ fn saturation_base_is_built_once_and_only_for_backward_queries() {
     assert!(!report.full_rebuild);
     assert!(report.memo_kept >= 1, "{report:?}");
     assert!(
-        slicer.saturation_base().is_none(),
+        slicer.saturation_base(Direction::Backward).is_none(),
         "apply_edit drops the base"
     );
-    assert_eq!(slicer.saturation_base_builds(), 1, "apply_edit builds none");
+    assert_eq!(
+        slicer.saturation_base_builds(Direction::Backward),
+        1,
+        "apply_edit builds none"
+    );
     // `printf(h)` lies outside the edit's reach; `printf(g)` does not.
     let after_edit = per_printf_criteria(&slicer);
     let hits = slicer.memo_hits();
     slicer.slice(&after_edit[1]).unwrap();
     assert_eq!(slicer.memo_hits(), hits + 1, "printf(h) stays memoized");
-    assert_eq!(slicer.saturation_base_builds(), 1, "memo hits build none");
+    assert_eq!(
+        slicer.saturation_base_builds(Direction::Backward),
+        1,
+        "memo hits build none"
+    );
     let after = slicer.slice(&after_edit[0]).unwrap();
     assert_eq!(
-        slicer.saturation_base_builds(),
+        slicer.saturation_base_builds(Direction::Backward),
         2,
         "the first miss rebuilds"
     );
@@ -451,14 +472,167 @@ fn saturation_base_is_built_once_and_only_for_backward_queries() {
     );
 }
 
+/// The forward saturation base (the `post*` closure of every push's first
+/// hop) is built lazily and at most once per session state, at every
+/// thread count and in both call orders: by the first forward query or
+/// the first build of the reachable automaton (all-contexts criteria and
+/// feature removal read it), whichever comes first. Opening a session
+/// builds none, and neither does backward use with configuration criteria
+/// only. `apply_edit` drops it; memo hits do not rebuild it, the first
+/// forward miss does.
+#[test]
+fn forward_saturation_base_is_built_once_per_session() {
+    use specslice::{ProgramDelta, ProgramEdit};
+    use specslice_corpus::editscript::find_stmt;
+    use specslice_lang::ast::{Expr, Stmt, StmtKind};
+
+    let _guard = serial();
+    let prog = specslice_corpus::by_name("print_tokens").unwrap();
+    let builds =
+        |s: &Slicer| [Direction::Backward, Direction::Forward].map(|d| s.saturation_base_builds(d));
+    for threads in [1, 2, 4] {
+        let config = SlicerConfig {
+            num_threads: threads,
+            ..SlicerConfig::default()
+        };
+        // Forward entry points and the reachable automaton's users, in two
+        // orders: the first call builds the base, the rest reuse it.
+        let orders: [&[&str]; 2] = [
+            &["forward", "batch", "specialize", "reachable"],
+            &["reachable", "specialize", "batch", "forward"],
+        ];
+        for order in orders {
+            let slicer = Slicer::from_source_with(prog.source, config).unwrap();
+            assert_eq!(builds(&slicer), [0, 0], "opening builds no base");
+            assert!(slicer.saturation_base(Direction::Forward).is_none());
+            let criteria = per_printf_criteria(&slicer);
+            for step in order {
+                match *step {
+                    "forward" => drop(slicer.forward_slice(&criteria[0]).unwrap()),
+                    "batch" => drop(slicer.forward_slice_batch(&criteria).unwrap()),
+                    "specialize" => drop(
+                        slicer
+                            .specialize_program_directed(Direction::Forward, &criteria)
+                            .unwrap(),
+                    ),
+                    // Feature removal needs the reachable automaton and
+                    // runs its own `post*` over the forward base.
+                    _ => drop(slicer.remove_feature(&criteria[0]).unwrap()),
+                }
+                assert_eq!(
+                    builds(&slicer),
+                    [0, 1],
+                    "{threads} threads, {order:?}: after {step}"
+                );
+            }
+            assert_eq!(slicer.reachable_builds(), 1);
+            let base = slicer.saturation_base(Direction::Forward).expect("built");
+            assert_eq!(base.direction(), Some(Direction::Forward));
+            assert!(base.transition_count() > 0);
+            assert_eq!(base.stats().transitions, base.transition_count());
+            assert!(base.stats().rule_applications > 0);
+        }
+
+        // Backward use with configuration criteria needs no reachable
+        // automaton, so it builds no forward base; the first all-contexts
+        // criterion builds it.
+        let slicer = Slicer::from_source_with(prog.source, config).unwrap();
+        let main = slicer.sdg().proc(slicer.sdg().main);
+        let configs: Vec<Criterion> = slicer
+            .sdg()
+            .printf_call_sites()
+            .filter(|c| c.caller == main.id)
+            .flat_map(|c| {
+                c.actual_ins
+                    .iter()
+                    .map(|&v| Criterion::configuration(v, vec![]))
+            })
+            .chain([Criterion::configuration(main.entry, vec![])])
+            .collect();
+        slicer.slice(&configs[0]).unwrap();
+        slicer.slice_batch(&configs).unwrap();
+        slicer.specialize_program(&configs).unwrap();
+        assert_eq!(builds(&slicer), [1, 0], "{threads} threads");
+        assert_eq!(slicer.reachable_builds(), 0);
+        slicer.slice(&per_printf_criteria(&slicer)[0]).unwrap();
+        assert_eq!(builds(&slicer), [1, 1], "{threads} threads");
+    }
+
+    // `apply_edit` drops the base; memo hits do not rebuild it, and the
+    // first forward miss does — with answers identical to a fresh
+    // session's. Configuration criteria keep the reachable automaton out.
+    const SRC: &str = r#"
+        int g, h;
+        void live(int a) { g = a; }
+        void other(int b) { h = b; }
+        int main() { live(5); other(6); printf("%d", g); printf("%d", h); return 0; }
+    "#;
+    let mut slicer = Slicer::from_source(SRC).unwrap();
+    // Each callee's entry under its call from `main`.
+    let sources = |s: &Slicer| -> Vec<Criterion> {
+        let sdg = s.sdg();
+        ["live", "other"]
+            .map(|name| {
+                let callee = sdg.proc_named(name).unwrap();
+                let site = sdg
+                    .call_sites
+                    .iter()
+                    .find(|c| matches!(c.callee, specslice_sdg::CalleeKind::User(p) if p == callee.id))
+                    .unwrap();
+                Criterion::configuration(callee.entry, vec![site.id])
+            })
+            .to_vec()
+    };
+    slicer.forward_slice_batch(&sources(&slicer)).unwrap();
+    assert_eq!(builds(&slicer), [0, 1]);
+    let program = slicer.program().unwrap().clone();
+    let id = find_stmt(&program, "live", |k| matches!(k, StmtKind::Assign { .. })).unwrap();
+    let delta = ProgramDelta::single(ProgramEdit::ReplaceStmt {
+        id,
+        stmt: Stmt::new(
+            0,
+            StmtKind::Assign {
+                name: "g".into(),
+                value: Expr::Int(7),
+            },
+        ),
+    });
+    let report = slicer.apply_edit(&delta).unwrap();
+    assert!(!report.full_rebuild);
+    assert!(report.memo_kept >= 1, "{report:?}");
+    assert!(
+        slicer.saturation_base(Direction::Forward).is_none(),
+        "apply_edit drops the base"
+    );
+    assert_eq!(builds(&slicer), [0, 1], "apply_edit builds none");
+    // Forward from `other` never reaches the edit; from `live` it does.
+    let after_edit = sources(&slicer);
+    let hits = slicer.memo_hits();
+    slicer.forward_slice(&after_edit[1]).unwrap();
+    assert_eq!(slicer.memo_hits(), hits + 1, "other's slice stays memoized");
+    assert_eq!(builds(&slicer), [0, 1], "memo hits build none");
+    let after = slicer.forward_slice(&after_edit[0]).unwrap();
+    assert_eq!(builds(&slicer), [0, 2], "the first miss rebuilds");
+    let fresh = Slicer::from_program(slicer.program().unwrap().clone()).unwrap();
+    assert_same_slice(
+        &after,
+        &fresh.forward_slice(&after_edit[0]).unwrap(),
+        "after the edit",
+    );
+}
+
 /// The session base is exactly the control-target part of a full `pre*`
 /// on every corpus encoding (and a feature grid): the criterion's query
 /// never adds a transition into a control state, so that part is `pre*`
-/// of the empty query whatever the criterion.
+/// of the empty query whatever the criterion. Forward, each criterion's
+/// `A1` over the forward base is the one over the whole relation: the
+/// same sizes and the same MRD output.
 #[test]
 fn saturation_base_is_the_control_target_part_of_each_query() {
+    use specslice::encode::MAIN_CONTROL;
+    use specslice_fsa::mrd::mrd_of_transposed;
     use specslice_pds::{
-        saturate_indexed_with_stats, Direction, SaturationBase, SaturationScratch,
+        saturate_a1_with_stats, saturate_indexed_with_stats, SaturationBase, SaturationScratch,
     };
     use std::collections::BTreeSet;
 
@@ -473,10 +647,8 @@ fn saturation_base_is_the_control_target_part_of_each_query() {
         let slicer = Slicer::from_source(&source).unwrap();
         let enc = slicer.encoding();
         let base = SaturationBase::backward(&enc.index);
-        let frozen: BTreeSet<_> = base
-            .transitions()
-            .map(|(f, l, t)| (f, Some(l), t))
-            .collect();
+        let forward_base = SaturationBase::forward(&enc.index);
+        let frozen: BTreeSet<_> = base.transitions().collect();
         assert_eq!(frozen.len(), base.transition_count(), "{name}");
         let mut criteria = per_printf_criteria(&slicer);
         criteria.push(Criterion::printf_actuals(slicer.sdg()));
@@ -491,6 +663,29 @@ fn saturation_base_is_the_control_target_part_of_each_query() {
                 .map(|(f, l, t)| (f.0, l, t.0))
                 .collect();
             assert_eq!(control, frozen, "{name}");
+
+            let mut forward_a1 = |over: &SaturationBase| {
+                let (a1, stats) = saturate_a1_with_stats(
+                    Direction::Forward,
+                    &enc.index,
+                    over,
+                    &query,
+                    MAIN_CONTROL,
+                    &mut scratch,
+                )
+                .unwrap();
+                let sizes = (a1.state_count(), a1.transition_count());
+                (sizes, format!("{:?}", mrd_of_transposed(a1)), stats)
+            };
+            let (whole_sizes, whole_mrd, whole) = forward_a1(SaturationBase::empty());
+            let (sizes, mrd, overlay) = forward_a1(&forward_base);
+            assert_eq!(sizes, whole_sizes, "{name}");
+            assert_eq!(mrd, whole_mrd, "{name}");
+            assert!(overlay.transitions >= whole.transitions, "{name}");
+            assert!(
+                overlay.rule_applications <= whole.rule_applications,
+                "{name}"
+            );
         }
     }
 }
