@@ -33,7 +33,8 @@ pub struct SliceRecord {
     pub variant_counts: Vec<usize>,
     /// Per-variant (original-PDG size, variant size, mono in-proc size).
     pub scatter: Vec<(usize, usize, usize)>,
-    /// Wall-clock of the monovariant algorithm.
+    /// Wall-clock of the monovariant algorithm, including the summary
+    /// edges it derives from the SDG (the session's SDG carries none).
     pub mono_time: Duration,
     /// Wall-clock of one session query (criterion → slice, cached encoding).
     pub poly_time: Duration,

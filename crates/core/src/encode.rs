@@ -2,7 +2,7 @@
 //!
 //! The stack alphabet is the union of SDG vertex ids and call-site labels;
 //! the transition relation of the resulting PDS *is* the unrolled SDG
-//! (Defn. 3.4). Five edge kinds are encoded:
+//! (Defn. 3.4). Every SDG edge kind is encoded:
 //!
 //! | SDG edge                    | PDS rule(s)                                |
 //! |-----------------------------|--------------------------------------------|
@@ -11,7 +11,9 @@
 //! | param-in `ai → fi` at `C`   | `⟨p, ai⟩ ↪ ⟨p, fi C⟩`                      |
 //! | param-out `fo → ao` at `C`  | `⟨p, fo⟩ ↪ ⟨p_fo, ε⟩`, `⟨p_fo, C⟩ ↪ ⟨p, ao⟩` |
 //!
-//! Summary edges are *not* encoded (they are unnecessary for Alg. 1).
+//! HRB summary edges have no rule: Alg. 1 does not need them, so the SDG
+//! does not carry them (only the closure-slice baselines in
+//! `specslice_sdg` derive them, on demand).
 
 use specslice_fsa::Symbol;
 use specslice_pds::{ControlLoc, Pds, Rhs, RuleIndex};
@@ -188,9 +190,8 @@ fn add_interprocedural_rules(
                     pds.add_internal(pfo, enc_call(site), MAIN_CONTROL, enc_sym(v));
                     added += 1;
                 }
-                // Intra-procedural kinds are the caller's business; summary
-                // edges are never encoded (unnecessary for Alg. 1).
-                EdgeKind::Flow | EdgeKind::Control | EdgeKind::LibActual | EdgeKind::Summary => {}
+                // Intra-procedural kinds are the caller's business.
+                EdgeKind::Flow | EdgeKind::Control | EdgeKind::LibActual => {}
             }
         }
     }

@@ -9,7 +9,8 @@
 //! specialization slicing which only replicates closure-slice elements.
 
 use crate::model::*;
-use crate::slice::backward_closure_slice;
+use crate::slice::backward_closure_slice_with;
+use crate::summary::Summaries;
 use std::collections::BTreeSet;
 
 /// Result of monovariant executable slicing.
@@ -26,7 +27,10 @@ pub struct MonovariantSlice {
 
 /// Computes Binkley's monovariant executable slice from `criterion`.
 pub fn monovariant_executable_slice(sdg: &Sdg, criterion: &[VertexId]) -> MonovariantSlice {
-    let closure = backward_closure_slice(sdg, criterion);
+    // The summary edges depend only on the SDG, so every repair round
+    // reuses them.
+    let summaries = Summaries::of(sdg);
+    let closure = backward_closure_slice_with(sdg, &summaries, criterion);
     let mut current = closure.clone();
     let mut iterations = 0;
     loop {
@@ -37,7 +41,7 @@ pub fn monovariant_executable_slice(sdg: &Sdg, criterion: &[VertexId]) -> Monova
         }
         let mut seeds: Vec<VertexId> = current.iter().copied().collect();
         seeds.extend(mismatches.iter().copied());
-        current = backward_closure_slice(sdg, &seeds);
+        current = backward_closure_slice_with(sdg, &summaries, &seeds);
     }
     let extraneous = current.difference(&closure).copied().collect();
     MonovariantSlice {

@@ -81,36 +81,21 @@ pub fn build_sdg(program: &Program) -> Result<Sdg, SdgError> {
     Builder::new(program, summaries, None).build()
 }
 
-/// How one procedure's dependence edges are obtained when rebuilding an SDG
-/// against a [`ReusePlan`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CopyMode {
-    /// The procedure's id in the *old* SDG.
-    pub old_pid: ProcId,
-    /// Whether the old summary edges at this procedure's call sites are
-    /// still valid (true only when no transitive callee changed).
-    pub with_summary: bool,
-}
-
 /// Instructions for [`build_sdg_reusing`]: which procedures' intra-PDG
-/// dependence edges can be copied from `old` instead of being recomputed,
-/// and which procedures' formal-outs must seed the summary-edge worklist.
+/// dependence edges can be copied from `old` instead of being recomputed.
 pub(crate) struct ReusePlan<'a> {
     /// The SDG built for the pre-edit program.
     pub old: &'a Sdg,
-    /// Per-procedure (by name) copy instructions; procedures absent from
-    /// this map are rebuilt from scratch.
-    pub copy: HashMap<String, CopyMode>,
-    /// Procedures (by name) whose path-edge facts must be re-derived.
-    pub summary_seeds: std::collections::BTreeSet<String>,
+    /// Procedure name → its id in `old`, for every procedure whose edges are
+    /// copied; procedures absent from this map are rebuilt from scratch.
+    pub copy: HashMap<String, ProcId>,
 }
 
 /// [`build_sdg`] with precomputed mod/ref summaries and a reuse plan: the
 /// vertex skeleton is always rebuilt (vertex numbering must match a fresh
 /// build exactly), but control/flow/§6.1 dependence — the expensive
 /// postdominator and reaching-definitions passes — is copied by ordinal
-/// correspondence for every procedure the plan covers, and summary edges are
-/// recomputed only from the plan's seeds.
+/// correspondence for every procedure the plan covers.
 pub(crate) fn build_sdg_reusing(
     program: &Program,
     summaries: HashMap<String, ModRefInfo>,
@@ -290,43 +275,29 @@ impl<'p> Builder<'p> {
         if let Some(plan) = self.plan {
             for i in 0..self.sdg.procs.len() {
                 let name = self.sdg.procs[i].name.clone();
-                if let Some(&mode) = plan.copy.get(&name) {
-                    self.copy_proc_edges(ProcId(i as u32), mode, plan.old)?;
+                if let Some(&old_pid) = plan.copy.get(&name) {
+                    self.copy_proc_edges(ProcId(i as u32), old_pid, plan.old)?;
                 }
             }
         }
 
         // Phase C: interprocedural edges.
         self.connect_call_sites();
-
-        // Summary edges for the context-sensitive closure slicer.
-        match self.plan {
-            None => crate::summary::add_summary_edges(&mut self.sdg),
-            Some(plan) => {
-                let seeds: std::collections::BTreeSet<ProcId> = plan
-                    .summary_seeds
-                    .iter()
-                    .filter_map(|n| self.sdg.proc_by_name.get(n).copied())
-                    .collect();
-                crate::summary::add_summary_edges_for(&mut self.sdg, &seeds);
-            }
-        }
         self.sdg.modref = self.summaries.clone();
         Ok(self.sdg)
     }
 
     /// Copies the old SDG's intra-procedural dependence edges (control,
-    /// flow, §6.1 — and summary, when the callees are unchanged too) onto
-    /// the freshly built vertex skeleton of one unchanged procedure. The
-    /// `k`-th vertex created for a procedure is the same program point in
-    /// both builds, so the copy is a plain ordinal zip.
+    /// flow, §6.1) onto the freshly built vertex skeleton of one unchanged
+    /// procedure. The `k`-th vertex created for a procedure is the same
+    /// program point in both builds, so the copy is a plain ordinal zip.
     fn copy_proc_edges(
         &mut self,
         new_pid: ProcId,
-        mode: CopyMode,
+        old_pid: ProcId,
         old: &Sdg,
     ) -> Result<(), SdgError> {
-        let old_vs = old.proc(mode.old_pid).vertices.clone();
+        let old_vs = old.proc(old_pid).vertices.clone();
         let new_vs = self.sdg.proc(new_pid).vertices.clone();
         if old_vs.len() != new_vs.len() {
             return Err(SdgError::new(format!(
@@ -340,11 +311,10 @@ impl<'p> Builder<'p> {
             old_vs.iter().copied().zip(new_vs.iter().copied()).collect();
         for (&ov, &nv) in old_vs.iter().zip(&new_vs) {
             for &(ot, kind) in old.successors(ov) {
-                let copyable = matches!(
+                if !matches!(
                     kind,
                     EdgeKind::Control | EdgeKind::Flow | EdgeKind::LibActual
-                ) || (mode.with_summary && kind == EdgeKind::Summary);
-                if !copyable {
+                ) {
                     continue;
                 }
                 let Some(&nt) = map.get(&ot) else {

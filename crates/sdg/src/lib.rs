@@ -9,14 +9,15 @@
 //! * [`modref`] — interprocedural `MayMod` / `MustMod` / upward-exposed-ref
 //!   analysis that decides which globals get formal-in/formal-out vertices;
 //! * [`model`] — SDG vertices (entry, statements, predicates, jumps, calls,
-//!   actual-in/out, formal-in/out) and the five HRB edge kinds plus summary
-//!   edges;
+//!   actual-in/out, formal-in/out) and the five HRB edge kinds plus the §6.1
+//!   library-actual edges (no summary edges: Alg. 1 never reads them);
 //! * [`build`] — the SDG builder: vertex creation, postdominator-based
 //!   control dependence, reaching-definitions flow dependence, call /
 //!   parameter-in / parameter-out edges, §6.1 library-call closure edges;
-//! * [`summary`] — RHSR-style summary-edge computation;
 //! * [`mod@slice`] — context-sensitive two-phase closure slicing (backward and
-//!   forward) plus a context-insensitive Weiser-style executable slicer;
+//!   forward), over summary edges the private `summary` module derives per
+//!   call with the RHSR worklist, plus a context-insensitive Weiser-style
+//!   executable slicer;
 //! * [`binkley`] — Binkley's monovariant executable slicing baseline (§5).
 //!
 //! # Example
@@ -39,7 +40,7 @@ pub mod model;
 pub mod modref;
 pub mod patch;
 pub mod slice;
-pub mod summary;
+mod summary;
 
 pub use model::{
     CallSite, CallSiteId, CalleeKind, EdgeKind, InSlot, LibFn, OutSlot, Proc, ProcId, Sdg, Vertex,

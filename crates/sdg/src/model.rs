@@ -189,8 +189,6 @@ pub enum EdgeKind {
     ParamIn,
     /// Parameter-out edge: formal-out → actual-out.
     ParamOut,
-    /// Summary edge: actual-in → actual-out at the same call site.
-    Summary,
     /// §6.1: actual-in → library call vertex, so a sliced library call keeps
     /// all of its arguments.
     LibActual,

@@ -1,10 +1,10 @@
 //! Incremental SDG reconstruction across program edits.
 //!
-//! Rebuilding a system dependence graph from scratch repeats three costly
-//! analyses — postdominator-based control dependence, reaching-definitions
-//! flow dependence, and the RHSR summary-edge fixpoint — for every
-//! procedure, even though a typical edit touches one. [`patch_sdg`] rebuilds
-//! only what an edit can actually change:
+//! Rebuilding a system dependence graph from scratch repeats two costly
+//! analyses — postdominator-based control dependence and
+//! reaching-definitions flow dependence — for every procedure, even though
+//! a typical edit touches one. [`patch_sdg`] rebuilds only what an edit can
+//! actually change:
 //!
 //! 1. the **vertex skeleton** is always rebuilt (statement and vertex ids
 //!    are dense program-wide, so they must match a fresh build exactly);
@@ -14,15 +14,15 @@
 //!    whose direct callee's mod/ref summary changed (callee summaries
 //!    decide actual-out kill behavior and formal-in/out layouts); everything
 //!    else is copied from the old SDG by ordinal correspondence;
-//! 3. **summary edges** are re-derived only for procedures whose transitive
-//!    callees changed (plus their direct callees, whose path facts feed the
-//!    re-derivation); unchanged call sites keep their copied edges.
+//! 3. **interprocedural edges** (call, parameter-in/out) are reconnected
+//!    for every call site, as a fresh build does. The SDG carries no
+//!    summary edges, so nothing transitive needs re-deriving.
 //!
 //! The result is bit-for-bit the same graph `build_sdg` would produce on the
 //! edited program — the incremental path changes *cost*, never output —
 //! which the `incremental_reslicing` integration tests check end-to-end.
 
-use crate::build::{self, CopyMode, ReusePlan};
+use crate::build::{self, ReusePlan};
 use crate::model::{CallSiteId, ProcId, Sdg, VertexId};
 use crate::SdgError;
 use specslice_lang::ast::{Callee, Program, StmtKind};
@@ -43,9 +43,6 @@ pub struct SdgPatch {
     pub call_site_map: Vec<Option<CallSiteId>>,
     /// Procedures whose dependence edges were recomputed from scratch.
     pub rebuilt: BTreeSet<String>,
-    /// Procedures whose summary-edge facts were re-derived (a superset of
-    /// `rebuilt`: transitive callers ride along, plus their direct callees).
-    pub summary_seeds: BTreeSet<String>,
     /// Procedures whose dependence edges were copied instead of recomputed.
     pub reused_procs: usize,
     /// Rebuilt procedures whose *user-call structure* changed — new
@@ -132,40 +129,8 @@ pub fn patch_sdg(
         }
     }
 
-    // Summary-dirty set S: rebuilt procedures and their transitive callers
-    // (a callee's path facts flow upward into every caller's summary edges).
-    let mut callers: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for (caller, callees) in &calls {
-        for callee in callees {
-            callers
-                .entry(callee.as_str())
-                .or_default()
-                .insert(caller.as_str());
-        }
-    }
-    let mut summary_dirty: BTreeSet<String> = rebuilt.clone();
-    let mut work: Vec<String> = rebuilt.iter().cloned().collect();
-    while let Some(name) = work.pop() {
-        if let Some(cs) = callers.get(name.as_str()) {
-            for &c in cs {
-                if summary_dirty.insert(c.to_string()) {
-                    work.push(c.to_string());
-                }
-            }
-        }
-    }
-    // Seeds: S plus its direct callees — their (unchanged) path facts must be
-    // re-derived so new and rebuilt call sites inside S regain summary edges.
-    let mut summary_seeds = summary_dirty.clone();
-    for name in &summary_dirty {
-        if let Some(cs) = calls.get(name) {
-            summary_seeds.extend(cs.iter().cloned());
-        }
-    }
-
-    // Copy plan: everything not rebuilt keeps its intra-PDG edges; summary
-    // edges ride along only where no transitive callee changed.
-    let mut copy: HashMap<String, CopyMode> = HashMap::new();
+    // Copy plan: everything not rebuilt keeps its intra-PDG edges.
+    let mut copy: HashMap<String, ProcId> = HashMap::new();
     for f in &new_program.functions {
         if rebuilt.contains(&f.name) {
             continue;
@@ -176,20 +141,10 @@ pub fn patch_sdg(
                 f.name
             )));
         };
-        copy.insert(
-            f.name.clone(),
-            CopyMode {
-                old_pid,
-                with_summary: !summary_dirty.contains(&f.name),
-            },
-        );
+        copy.insert(f.name.clone(), old_pid);
     }
 
-    let plan = ReusePlan {
-        old,
-        copy,
-        summary_seeds: summary_seeds.clone(),
-    };
+    let plan = ReusePlan { old, copy };
     let reused_procs = plan.copy.len();
     let sdg = build::build_sdg_reusing(new_program, summaries, &plan)?;
 
@@ -245,7 +200,6 @@ pub fn patch_sdg(
         vertex_map,
         call_site_map,
         rebuilt,
-        summary_seeds,
         reused_procs,
         structure_changed,
     })
@@ -384,11 +338,8 @@ mod tests {
         let fresh = build_sdg(&new_p).unwrap();
         assert_same_graph(&patch.sdg, &fresh);
         assert_eq!(patch.rebuilt, BTreeSet::from(["main".to_string()]));
-        // main's summary dirtiness does not spread to its callees' copies…
+        // main's rebuild does not spread to its callees' copies.
         assert_eq!(patch.reused_procs, 2);
-        // …but their path facts are re-seeded for main's rebuilt call sites.
-        assert!(patch.summary_seeds.contains("leaf"));
-        assert!(patch.summary_seeds.contains("mid"));
     }
 
     #[test]

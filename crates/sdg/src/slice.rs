@@ -4,41 +4,18 @@
 //! These are the paper's §2.1.2 baseline ("closure slicing") and the §5
 //! Weiser comparison point. The polyvariant algorithm lives in the
 //! `specslice` crate; Binkley's monovariant algorithm in [`crate::binkley`].
+//! The SDG carries no summary edges; each closure slice derives them with
+//! the crate-private `summary` module and walks them beside the SDG's own
+//! edges.
 
 use crate::model::*;
+use crate::summary::Summaries;
 use std::collections::BTreeSet;
 
-/// Edge kinds traversed in backward phase 1 (callers and same level; do not
-/// descend through parameter-out edges).
-fn backward_phase1(k: EdgeKind) -> bool {
-    matches!(
-        k,
-        EdgeKind::Control
-            | EdgeKind::Flow
-            | EdgeKind::Call
-            | EdgeKind::ParamIn
-            | EdgeKind::Summary
-            | EdgeKind::LibActual
-    )
-}
-
-/// Edge kinds traversed in backward phase 2 (descend into callees; do not
-/// re-ascend through call / parameter-in edges).
-fn backward_phase2(k: EdgeKind) -> bool {
-    matches!(
-        k,
-        EdgeKind::Control
-            | EdgeKind::Flow
-            | EdgeKind::ParamOut
-            | EdgeKind::Summary
-            | EdgeKind::LibActual
-    )
-}
-
-fn reach_backward(
-    sdg: &Sdg,
+/// Every vertex reachable from `seeds` by repeatedly taking `step`.
+fn reach<I: IntoIterator<Item = VertexId>>(
     seeds: impl IntoIterator<Item = VertexId>,
-    allow: impl Fn(EdgeKind) -> bool,
+    step: impl Fn(VertexId) -> I,
 ) -> BTreeSet<VertexId> {
     let mut seen: BTreeSet<VertexId> = BTreeSet::new();
     let mut work: Vec<VertexId> = Vec::new();
@@ -48,8 +25,8 @@ fn reach_backward(
         }
     }
     while let Some(v) = work.pop() {
-        for &(u, k) in sdg.predecessors(v) {
-            if allow(k) && seen.insert(u) {
+        for u in step(v) {
+            if seen.insert(u) {
                 work.push(u);
             }
         }
@@ -57,61 +34,58 @@ fn reach_backward(
     seen
 }
 
-fn reach_forward(
-    sdg: &Sdg,
-    seeds: impl IntoIterator<Item = VertexId>,
-    allow: impl Fn(EdgeKind) -> bool,
-) -> BTreeSet<VertexId> {
-    let mut seen: BTreeSet<VertexId> = BTreeSet::new();
-    let mut work: Vec<VertexId> = Vec::new();
-    for s in seeds {
-        if seen.insert(s) {
-            work.push(s);
-        }
-    }
-    while let Some(v) = work.pop() {
-        for &(t, k) in sdg.successors(v) {
-            if allow(k) && seen.insert(t) {
-                work.push(t);
-            }
-        }
-    }
-    seen
+/// Call and parameter-in edges: they lead from a call site into its callee.
+fn enters_callee(k: EdgeKind) -> bool {
+    matches!(k, EdgeKind::Call | EdgeKind::ParamIn)
+}
+
+/// Parameter-out edges: they lead from a callee back to its call site.
+fn exits_callee(k: EdgeKind) -> bool {
+    k == EdgeKind::ParamOut
 }
 
 /// Context-sensitive backward closure slice (Horwitz–Reps–Binkley, two
-/// phases over summary-equipped SDGs).
+/// phases over the SDG plus its summary edges).
 pub fn backward_closure_slice(sdg: &Sdg, criterion: &[VertexId]) -> BTreeSet<VertexId> {
-    let phase1 = reach_backward(sdg, criterion.iter().copied(), backward_phase1);
-    let phase2 = reach_backward(sdg, phase1.iter().copied(), backward_phase2);
-    phase2
+    backward_closure_slice_with(sdg, &Summaries::of(sdg), criterion)
+}
+
+/// [`backward_closure_slice`] over precomputed summary edges.
+pub(crate) fn backward_closure_slice_with(
+    sdg: &Sdg,
+    summaries: &Summaries,
+    criterion: &[VertexId],
+) -> BTreeSet<VertexId> {
+    let step = |skip: fn(EdgeKind) -> bool| {
+        move |v: VertexId| {
+            let edges = sdg.predecessors(v).iter().filter(move |&&(_, k)| !skip(k));
+            edges
+                .map(|&(u, _)| u)
+                .chain(summaries.preds(v).iter().copied())
+        }
+    };
+    // Phase 1: same level and up into callers (no descent into callees).
+    let phase1 = reach(criterion.iter().copied(), step(exits_callee));
+    // Phase 2: down into callees (no re-ascent into callers).
+    reach(phase1, step(enters_callee))
 }
 
 /// Context-sensitive forward closure slice (dual phases).
 pub fn forward_closure_slice(sdg: &Sdg, criterion: &[VertexId]) -> BTreeSet<VertexId> {
-    // Phase 1: same level and up into callers (no descent through param-in).
-    let phase1 = reach_forward(sdg, criterion.iter().copied(), |k| {
-        matches!(
-            k,
-            EdgeKind::Control
-                | EdgeKind::Flow
-                | EdgeKind::ParamOut
-                | EdgeKind::Summary
-                | EdgeKind::LibActual
-        )
-    });
-    // Phase 2: descend into callees (no re-ascent through param-out).
-    reach_forward(sdg, phase1.iter().copied(), |k| {
-        matches!(
-            k,
-            EdgeKind::Control
-                | EdgeKind::Flow
-                | EdgeKind::Call
-                | EdgeKind::ParamIn
-                | EdgeKind::Summary
-                | EdgeKind::LibActual
-        )
-    })
+    let summaries = Summaries::of(sdg);
+    let step = |skip: fn(EdgeKind) -> bool| {
+        let summaries = &summaries;
+        move |v: VertexId| {
+            let edges = sdg.successors(v).iter().filter(move |&&(_, k)| !skip(k));
+            edges
+                .map(|&(t, _)| t)
+                .chain(summaries.succs(v).iter().copied())
+        }
+    };
+    // Phase 1: same level and up into callers (no descent into callees).
+    let phase1 = reach(criterion.iter().copied(), step(enters_callee));
+    // Phase 2: down into callees (no re-ascent into callers).
+    reach(phase1, step(exits_callee))
 }
 
 /// A Weiser-style executable slice: context-insensitive, with atomic call
@@ -123,7 +97,7 @@ pub fn forward_closure_slice(sdg: &Sdg, criterion: &[VertexId]) -> BTreeSet<Vert
 pub fn weiser_executable_slice(sdg: &Sdg, criterion: &[VertexId]) -> BTreeSet<VertexId> {
     let mut w: BTreeSet<VertexId> = criterion.iter().copied().collect();
     loop {
-        w = reach_backward(sdg, w.iter().copied(), |k| k != EdgeKind::Summary);
+        w = reach(w, |v| sdg.predecessors(v).iter().map(|&(u, _)| u));
         let mut additions: Vec<VertexId> = Vec::new();
         for site in &sdg.call_sites {
             if w.contains(&site.call_vertex) {

@@ -1,93 +1,117 @@
-//! Summary-edge computation (Horwitz–Reps–Binkley / RHSR worklist).
+//! Summary edges on demand (Horwitz–Reps–Binkley / RHSR worklist).
 //!
 //! A summary edge `actual-in → actual-out` at a call site records that the
 //! callee can transmit a dependence from that input to that output along a
 //! *same-level* realizable path. Summary edges make the two-phase closure
-//! slicer context-sensitive. (Alg. 1 of the paper does **not** need summary
-//! edges — the PDS encoding omits them — but the closure-slice baseline and
-//! Binkley's algorithm do.)
+//! slicer context-sensitive. Alg. 1 of the paper does not need them — the
+//! PDS encoding has no rule for them — so the SDG does not carry them: the
+//! closure and Binkley baselines compute the relation here, once per call,
+//! as a value of their own.
+//!
+//! The worklist deliberately reads only SDG edges, not the `specslice`
+//! session's `pre*` base: the closure slice is the independent reference
+//! the PDS pipeline is tested against, and deriving one from the other
+//! would make that check circular.
 
 use crate::model::*;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
-/// Adds all summary edges to `sdg`. Idempotent.
-pub fn add_summary_edges(sdg: &mut Sdg) {
-    let all: BTreeSet<ProcId> = sdg.procs.iter().map(|p| p.id).collect();
-    add_summary_edges_for(sdg, &all);
+/// Path edges `(v, fo)`: `v` reaches formal-out `fo` along a same-level
+/// path.
+struct PathEdges {
+    seen: HashSet<(VertexId, VertexId)>,
+    /// `from[v]`: every `fo` with a path edge `(v, fo)`.
+    from: Vec<Vec<VertexId>>,
+    work: Vec<(VertexId, VertexId)>,
 }
 
-/// Adds the summary edges derivable from same-level paths to the formal-outs
-/// of `seeds` only.
-///
-/// This is the incremental-patch entry point: after an edit, summary edges
-/// of *unchanged* call sites are copied from the old SDG, and only the
-/// procedures whose transitive callees changed (plus their direct callees,
-/// whose path facts feed them) need their path edges re-derived. Seeding
-/// every procedure is exactly [`add_summary_edges`]. Idempotent.
-pub fn add_summary_edges_for(sdg: &mut Sdg, seeds: &BTreeSet<ProcId>) {
-    // Path edge (v, fo): v reaches formal-out fo along a same-level path.
-    let mut pe: HashSet<(VertexId, VertexId)> = HashSet::new();
-    let mut paths_from: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-    let mut worklist: Vec<(VertexId, VertexId)> = Vec::new();
-
-    let push = |pe: &mut HashSet<(VertexId, VertexId)>,
-                paths_from: &mut HashMap<VertexId, Vec<VertexId>>,
-                worklist: &mut Vec<(VertexId, VertexId)>,
-                v: VertexId,
-                fo: VertexId| {
-        if pe.insert((v, fo)) {
-            paths_from.entry(v).or_default().push(fo);
-            worklist.push((v, fo));
-        }
-    };
-
-    for proc in sdg.procs.clone() {
-        if !seeds.contains(&proc.id) {
-            continue;
-        }
-        for fo in proc.formal_outs {
-            push(&mut pe, &mut paths_from, &mut worklist, fo, fo);
+impl PathEdges {
+    fn push(&mut self, v: VertexId, fo: VertexId) {
+        if self.seen.insert((v, fo)) {
+            self.from[v.index()].push(fo);
+            self.work.push((v, fo));
         }
     }
+}
 
-    // Call sites indexed by callee for the formal-in step.
-    let mut sites_by_callee: HashMap<ProcId, Vec<CallSite>> = HashMap::new();
-    for site in sdg.call_sites.clone() {
-        if let CalleeKind::User(p) = site.callee {
-            sites_by_callee.entry(p).or_default().push(site);
+/// The summary relation of one SDG, indexed both ways.
+#[derive(Debug)]
+pub(crate) struct Summaries {
+    /// `preds[ao]`: the actual-ins with a summary edge into actual-out `ao`.
+    preds: Vec<Vec<VertexId>>,
+    /// `succs[ai]`: the actual-outs with a summary edge from actual-in `ai`.
+    succs: Vec<Vec<VertexId>>,
+}
+
+impl Summaries {
+    /// Computes every summary edge of `sdg`.
+    pub(crate) fn of(sdg: &Sdg) -> Summaries {
+        let n = sdg.vertex_count();
+        let mut s = Summaries {
+            preds: vec![Vec::new(); n],
+            succs: vec![Vec::new(); n],
+        };
+        let mut paths = PathEdges {
+            seen: HashSet::new(),
+            from: vec![Vec::new(); n],
+            work: Vec::new(),
+        };
+        for proc in &sdg.procs {
+            for &fo in &proc.formal_outs {
+                paths.push(fo, fo);
+            }
         }
-    }
 
-    while let Some((v, fo)) = worklist.pop() {
-        if let VertexKind::FormalIn { slot } = sdg.vertex(v).kind.clone() {
-            let p = sdg.vertex(v).proc;
-            let oslot = sdg.out_slot(fo).cloned().expect("fo is a formal-out");
-            if let Some(sites) = sites_by_callee.get(&p).cloned() {
-                for site in sites {
+        // Call sites indexed by callee for the formal-in step.
+        let mut sites_by_callee: HashMap<ProcId, Vec<&CallSite>> = HashMap::new();
+        for site in &sdg.call_sites {
+            if let CalleeKind::User(p) = site.callee {
+                sites_by_callee.entry(p).or_default().push(site);
+            }
+        }
+
+        while let Some((v, fo)) = paths.work.pop() {
+            let vertex = sdg.vertex(v);
+            if let VertexKind::FormalIn { slot } = &vertex.kind {
+                let oslot = sdg.out_slot(fo).expect("fo is a formal-out");
+                for site in sites_by_callee.get(&vertex.proc).into_iter().flatten() {
                     let (Some(ai), Some(ao)) = (
-                        sdg.actual_in_for_slot(&site, &slot),
-                        sdg.actual_out_for_slot(&site, &oslot),
+                        sdg.actual_in_for_slot(site, slot),
+                        sdg.actual_out_for_slot(site, oslot),
                     ) else {
                         continue;
                     };
-                    sdg.add_edge(ai, ao, EdgeKind::Summary);
+                    if s.preds[ao.index()].contains(&ai) {
+                        continue;
+                    }
+                    s.preds[ao.index()].push(ai);
+                    s.succs[ai.index()].push(ao);
                     // Propagate existing path edges across the new summary.
-                    if let Some(fos) = paths_from.get(&ao).cloned() {
-                        for fo2 in fos {
-                            push(&mut pe, &mut paths_from, &mut worklist, ai, fo2);
-                        }
+                    for i in 0..paths.from[ao.index()].len() {
+                        paths.push(ai, paths.from[ao.index()][i]);
                     }
                 }
             }
-        }
-        for &(u, k) in sdg.predecessors(v).to_vec().iter() {
-            if matches!(
-                k,
-                EdgeKind::Control | EdgeKind::Flow | EdgeKind::Summary | EdgeKind::LibActual
-            ) {
-                push(&mut pe, &mut paths_from, &mut worklist, u, fo);
+            for &(u, k) in sdg.predecessors(v) {
+                if matches!(k, EdgeKind::Control | EdgeKind::Flow | EdgeKind::LibActual) {
+                    paths.push(u, fo);
+                }
+            }
+            for &ai in &s.preds[v.index()] {
+                paths.push(ai, fo);
             }
         }
+        s
+    }
+
+    /// The actual-ins with a summary edge into `v`.
+    pub(crate) fn preds(&self, v: VertexId) -> &[VertexId] {
+        &self.preds[v.index()]
+    }
+
+    /// The actual-outs with a summary edge from `v`.
+    pub(crate) fn succs(&self, v: VertexId) -> &[VertexId] {
+        &self.succs[v.index()]
     }
 }
 
@@ -102,12 +126,11 @@ mod tests {
     }
 
     fn summary_edges(sdg: &Sdg) -> Vec<(VertexId, VertexId)> {
+        let s = Summaries::of(sdg);
         let mut out = Vec::new();
         for v in sdg.vertex_ids() {
-            for &(t, k) in sdg.successors(v) {
-                if k == EdgeKind::Summary {
-                    out.push((v, t));
-                }
+            for &t in s.succs(v) {
+                out.push((v, t));
             }
         }
         out
@@ -187,16 +210,26 @@ mod tests {
     }
 
     #[test]
-    fn idempotent() {
-        let mut sdg = sdg_of(
+    fn preds_mirror_succs() {
+        let sdg = sdg_of(
             r#"
-            int g;
-            void set(int a) { g = a; }
-            int main() { set(3); printf("%d", g); return 0; }
+            int g, h;
+            void set(int a, int b) { g = a; h = a + b; }
+            int main() { set(3, 4); set(g, 5); printf("%d", g + h); return 0; }
             "#,
         );
-        let before = sdg.edge_count();
-        add_summary_edges(&mut sdg);
-        assert_eq!(sdg.edge_count(), before);
+        let s = Summaries::of(&sdg);
+        let mut backward = Vec::new();
+        for ao in sdg.vertex_ids() {
+            for &ai in s.preds(ao) {
+                backward.push((ai, ao));
+            }
+        }
+        let mut forward = summary_edges(&sdg);
+        backward.sort();
+        forward.sort();
+        // a → g, a → h, b → h at each of the two sites.
+        assert_eq!(forward.len(), 6);
+        assert_eq!(backward, forward);
     }
 }

@@ -9,6 +9,7 @@ use specslice::{Criterion, ProgramDelta, ProgramEdit, Slicer, SlicerConfig};
 use specslice_corpus::editscript::{self, find_stmt};
 use specslice_lang::ast::{BinOp, Expr, Stmt, StmtKind};
 use specslice_lang::{frontend, StmtId};
+use specslice_sdg::slice::backward_closure_slice;
 
 /// Per-printf all-contexts criteria — the paper's evaluation workload.
 fn per_printf(slicer: &Slicer) -> Vec<Criterion> {
@@ -28,13 +29,27 @@ fn fingerprint(slicer: &Slicer) -> String {
     format!("{:?}", slicer.slice_batch(&criteria).unwrap().slices)
 }
 
-/// Asserts the incremental session answers exactly like a fresh one.
+/// Asserts the incremental session answers exactly like a fresh one, and
+/// that the HRB closure slice of every printf (whose summary edges are
+/// derived from the SDG alone) is the same on the patched SDG as on a
+/// freshly built one.
 fn assert_matches_fresh(incremental: &Slicer, context: &str) {
     let fresh = Slicer::from_program(incremental.program().unwrap().clone()).unwrap();
     assert_eq!(
         fingerprint(incremental),
         fingerprint(&fresh),
         "incremental != fresh after {context}"
+    );
+    let closures = |slicer: &Slicer| -> Vec<_> {
+        let sdg = slicer.sdg();
+        sdg.printf_call_sites()
+            .map(|c| backward_closure_slice(sdg, &c.actual_ins))
+            .collect()
+    };
+    assert_eq!(
+        closures(incremental),
+        closures(&fresh),
+        "closure slices differ from a fresh session's after {context}"
     );
 }
 

@@ -55,6 +55,40 @@ fn closure_slice_equals_elems_of_prestar() {
     }
 }
 
+/// The forward twin: the dual two-phase HRB closure slice (over the
+/// summary edges it derives itself) equals the vertex projection of the
+/// `post*` stack-configuration slice, from `main`'s first statement in
+/// every context.
+#[test]
+fn forward_closure_slice_equals_elems_of_poststar() {
+    let mut checked = 0;
+    for seed in seeds(48, 211) {
+        let src = random_program(seed, cfg());
+        let slicer = Slicer::from_source(&src).unwrap();
+        let sdg = slicer.sdg();
+        let main = sdg.proc_named("main").unwrap();
+        let Some(source) = main.vertices.iter().copied().find(|&v| {
+            matches!(
+                sdg.vertex(v).kind,
+                specslice_sdg::VertexKind::Statement { .. }
+            )
+        }) else {
+            continue;
+        };
+        let closure = specslice_sdg::slice::forward_closure_slice(sdg, &[source]);
+        let elems = slicer
+            .forward_slice(&Criterion::vertex(source))
+            .unwrap()
+            .elems();
+        assert_eq!(
+            elems, closure,
+            "Elems(post*) != forward HRB closure slice (seed {seed})\n{src}"
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "no seed has a statement in main");
+}
+
 /// Thm. 3.16: the algorithm's automaton is reverse-deterministic, and the
 /// partition is minimal (distinct Elems per variant, Defn. 2.10(3)).
 #[test]
