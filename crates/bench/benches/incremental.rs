@@ -8,8 +8,7 @@
 //! three helpers, a statement insertion and a removal in a helper, a dead
 //! procedure added, and one `main` edit (the reuse worst case) —
 //! re-answering the full per-printf criterion workload after every edit. The incremental path patches the session in place — SDG
-//! edges, PDS rules, the reachable automaton, and the criterion memo all
-//! migrate — while the rebuild path does what clients had to do before
+//! edges, PDS rules, and the criterion memo all migrate — while the rebuild path does what clients had to do before
 //! `apply_edit` existed: a fresh `Slicer::from_program` per edit.
 //!
 //! Both paths are verified byte-identical before timing. Sessions run one
@@ -125,7 +124,8 @@ fn fingerprint(slicer: &Slicer) -> String {
     format!("{:?}", slicer.slice_batch(&criteria).unwrap().slices)
 }
 
-/// A warmed session on `base`: memo and reachable automaton populated.
+/// A warmed session on `base`: memo and backward saturation base
+/// populated.
 fn warm_session(base: &Program) -> Slicer {
     let slicer = Slicer::from_program_with(base.clone(), config()).expect("corpus program");
     let criteria = criteria_of(&slicer);

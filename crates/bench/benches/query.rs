@@ -45,8 +45,8 @@
 //!
 //! Two wall-clock assertions ride along. Session reuse: on every workload
 //! with several criteria, the same criteria answered by cold one-shot
-//! `specialize` calls (each re-encoding the SDG and rebuilding the
-//! reachable automaton) must be slower than the session, in the geometric
+//! `specialize` calls (each re-encoding the SDG and saturating the whole
+//! relation) must be slower than the session, in the geometric
 //! mean over workloads. Thread scaling: on hosts with at least 4 cores,
 //! the 4-worker batches must answer the workloads with at least 4
 //! criteria (a smaller batch cannot spread over 4 workers) at least 1.5x
@@ -132,9 +132,8 @@ struct Counters {
     forward_transitions: usize,
     forward_rule_applications: usize,
     /// The session's forward saturation base (the `post*` closure of every
-    /// push's first hop), built once for the reachable automaton and all
-    /// of the workload's forward queries: its transitions and its own rule
-    /// applications.
+    /// push's first hop), built once for all of the workload's forward
+    /// queries: its transitions and its own rule applications.
     forward_base_transitions: usize,
     forward_base_rule_applications: usize,
     forward_slice_vertices: usize,
@@ -403,7 +402,7 @@ fn main() {
         }
 
         // Session reuse against cold one-shot calls, each of which pays
-        // for its own encoding and reachable automaton.
+        // for its own encoding and a saturation over the empty base.
         if criteria.len() > 1 {
             let sdg = slicer.sdg().clone();
             let cold = timer::run(

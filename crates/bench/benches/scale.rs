@@ -124,6 +124,9 @@ struct Counters {
     rule_applications: usize,
     base_transitions: usize,
     base_rule_applications: usize,
+    /// Forward saturation bases built by the backward batch: 0, since an
+    /// all-contexts criterion reads its stack language off the call graph.
+    forward_base_builds: usize,
     transitions: usize,
     slice_vertices: usize,
     variants: usize,
@@ -193,6 +196,7 @@ fn main() {
             .stats();
         counters.base_transitions = base.transitions;
         counters.base_rule_applications = base.rule_applications;
+        counters.forward_base_builds = slicer.saturation_base_builds(Direction::Forward);
         counters.transitions = batch.aggregate.saturation_transitions;
         for slice in &batch.slices {
             counters.slice_vertices += slice.total_vertices();
@@ -314,6 +318,11 @@ fn render_json(samples: usize, host: usize, rows: &[TierRow]) -> String {
             s,
             "        \"base_rule_applications\": {},",
             c.base_rule_applications
+        );
+        let _ = writeln!(
+            s,
+            "        \"forward_base_builds\": {},",
+            c.forward_base_builds
         );
         let _ = writeln!(s, "        \"transitions\": {},", c.transitions);
         let _ = writeln!(s, "        \"slice_vertices\": {},", c.slice_vertices);

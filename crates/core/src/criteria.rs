@@ -10,12 +10,23 @@
 //!   stacks (how the paper slices on "all of the calling contexts of
 //!   printf");
 //! * raw automata over the interned symbol alphabet.
+//!
+//! `Reachable` is never saturated. Its language is `v · c_k … c_1` for
+//! every chain `c_1 … c_k` of user call sites from `main` down to
+//! `proc(v)`, which an automaton with one state per procedure accepts
+//! (see [`reachable_configurations`]). That holds because every vertex is
+//! reachable from its own procedure's entry along intraprocedural
+//! (`Control`/`Flow`/`LibActual`) edges: true of every SDG `build_sdg` and
+//! `patch_sdg` produce, and checked in `O(V + E)` where an SDG from
+//! elsewhere enters ([`crate::Slicer::from_sdg`], [`crate::specialize()`],
+//! [`crate::feature_removal::remove_feature`]), which reject a violation
+//! with [`SpecError::SdgBuild`].
 
 use crate::encode::{Encoded, MAIN_CONTROL};
 use crate::SpecError;
-use specslice_fsa::{Dfa, Nfa};
-use specslice_pds::{Direction, PAutomaton, PState, SaturationBase};
-use specslice_sdg::{CallSiteId, CalleeKind, Sdg, VertexId};
+use specslice_fsa::{Dfa, Nfa, StateId};
+use specslice_pds::{PAutomaton, PState};
+use specslice_sdg::{CallSiteId, CalleeKind, EdgeKind, Sdg, SdgError, VertexId};
 
 /// A slicing criterion.
 #[derive(Clone, Debug)]
@@ -86,10 +97,7 @@ fn validate_configuration(sdg: &Sdg, v: VertexId, stack: &[CallSiteId]) -> Resul
     Ok(())
 }
 
-/// Builds the P-automaton `A0` for a criterion (Fig. 9-style), computing
-/// the reachable-configuration automaton on demand when the criterion needs
-/// it. Sessions ([`crate::Slicer`]) use [`query_automaton_reusing`] to share
-/// one cached reachable automaton across queries instead.
+/// Builds the P-automaton `A0` for a criterion (Fig. 9-style).
 ///
 /// # Errors
 ///
@@ -97,18 +105,6 @@ fn validate_configuration(sdg: &Sdg, v: VertexId, stack: &[CallSiteId]) -> Resul
 pub fn query_automaton(
     sdg: &Sdg,
     enc: &Encoded,
-    criterion: &Criterion,
-) -> Result<PAutomaton, SpecError> {
-    query_automaton_reusing(sdg, enc, None, criterion)
-}
-
-/// [`query_automaton`] with an optionally pre-computed
-/// [`reachable_configurations`] automaton (only all-contexts criteria
-/// consult it; passing `None` computes it on demand).
-pub fn query_automaton_reusing(
-    sdg: &Sdg,
-    enc: &Encoded,
-    reachable: Option<&Nfa>,
     criterion: &Criterion,
 ) -> Result<PAutomaton, SpecError> {
     match criterion {
@@ -149,91 +145,106 @@ pub fn query_automaton_reusing(
                     )));
                 }
             }
-            let computed;
-            let reachable = match reachable {
-                Some(r) => r,
-                None => {
-                    computed = reachable_configurations(sdg, enc)?;
-                    &computed
-                }
-            };
-            // Shape automaton: verts · call-symbols*.
-            let mut shape = Nfa::new();
-            let f = shape.add_state();
-            shape.set_final(f);
-            for &v in verts {
-                shape.add_transition(shape.initial(), Some(enc.vertex_symbol(v)), f);
-            }
-            for c in &sdg.call_sites {
-                shape.add_transition(f, Some(enc.call_symbol(c.id)), f);
-            }
-            let inter = specslice_fsa::ops::intersect(reachable, &shape);
-            nfa_to_query(enc, &inter)
+            nfa_to_query(enc, &call_chains(sdg, enc, verts.iter().copied()))
         }
         Criterion::Automaton(nfa) => nfa_to_query(enc, nfa),
     }
 }
 
-/// The language of all configurations reachable from `⟨entry_main, ε⟩` —
-/// i.e. every `(v, w)` of the unrolled SDG whose stack is realizable.
-///
-/// The result is determinized and minimized: it is built once per session
-/// but consumed per criterion (all-contexts queries intersect with it and
-/// re-determinize the product), so every state shaved here is shaved from
-/// each of those downstream subset constructions. With a deterministic
-/// left operand and the deterministic `verts · Γ_c*` shape on the right,
-/// the product is itself deterministic and the per-criterion determinize
-/// degenerates to a linear walk.
-///
-/// # Errors
-///
-/// Propagates a structured [`SpecError::Pds`] if the entry query violates a
-/// `post*` precondition. The query is built right here — one labeled
-/// transition out of a control state into a fresh final state — so every
-/// precondition holds by construction and an error indicates a bug in the
-/// engine, but it surfaces as a value (with the engine's own error as the
-/// [`source`](std::error::Error::source)) rather than a panic inside
-/// whatever worker thread first touched the session's reachable automaton.
-pub fn reachable_configurations(sdg: &Sdg, enc: &Encoded) -> Result<Nfa, SpecError> {
-    reachable_configurations_over(sdg, enc, SaturationBase::empty())
-}
-
-/// [`reachable_configurations`] over a saturation base: `base` must be
-/// [`SaturationBase::empty`] (the whole `post*` is saturated here) or the
-/// forward base of `enc`'s rule index ([`SaturationBase::forward`]), which
-/// a session shares with its forward queries so that it saturates the
-/// program forward once. Either gives the same automaton.
-///
-/// # Errors
-///
-/// As [`reachable_configurations`].
-pub fn reachable_configurations_over(
+/// [`query_automaton`] with an ignored `reachable` argument: all-contexts
+/// criteria build their stack language from the call graph. Kept only
+/// because the perfbench harness (`perfbench/src/trace.rs`) calls it;
+/// ROADMAP item 1's benchmark change deletes it.
+#[doc(hidden)]
+pub fn query_automaton_reusing(
     sdg: &Sdg,
     enc: &Encoded,
-    base: &SaturationBase,
-) -> Result<Nfa, SpecError> {
-    let mut ae = PAutomaton::new(enc.pds.control_count());
-    let f = ae.add_state();
-    ae.set_final(f);
-    let entry = sdg.proc(sdg.main).entry;
-    ae.add_transition(
-        ae.control_state(MAIN_CONTROL),
-        Some(enc.vertex_symbol(entry)),
-        f,
-    );
-    // `post*` read from `p` and trimmed straight from the saturation rows:
-    // only the part that can reach the final state is ever copied.
-    let mut scratch = specslice_pds::SaturationScratch::default();
-    let (a1, _) = specslice_pds::saturate_a1_with_stats(
-        Direction::Forward,
-        &enc.index,
-        base,
-        &ae,
-        MAIN_CONTROL,
-        &mut scratch,
-    )
-    .map_err(|e| SpecError::pds("poststar(reachable)", e))?;
-    Ok(specslice_fsa::hopcroft::minimize(&Dfa::determinize(&a1.to_nfa())).to_nfa())
+    _reachable: Option<&Nfa>,
+    criterion: &Criterion,
+) -> Result<PAutomaton, SpecError> {
+    query_automaton(sdg, enc, criterion)
+}
+
+/// The language of all configurations reachable from `⟨entry_main, ε⟩` —
+/// i.e. every `(v, w)` of the unrolled SDG whose stack is realizable —
+/// read off the call graph instead of saturated: one state per procedure,
+/// `init –v→ proc(v)` for every vertex `v`, and `Q –c→ caller(c)` for
+/// every user call site `c` of `Q`, with `main` final, trimmed. It is
+/// deterministic and has one state per live procedure plus the initial
+/// state (the size of the minimal DFA of `post*({⟨entry_main, ε⟩})`).
+///
+/// It equals that `post*` language when every vertex is reachable from its
+/// procedure's entry (see the [module docs](self));
+/// `tests/properties.rs` keeps the `post*` construction as the oracle.
+///
+/// # Errors
+///
+/// None today; the `Result` is kept for the callers' signatures.
+pub fn reachable_configurations(sdg: &Sdg, enc: &Encoded) -> Result<Nfa, SpecError> {
+    Ok(call_chains(sdg, enc, sdg.vertex_ids()).trimmed().0)
+}
+
+/// The realizable-stack automaton with initial edges restricted to
+/// `verts`: one state per procedure, `init –v→ proc(v)` for each `v`, and
+/// `Q –c→ caller(c)` for every user call site `c` whose callee is `Q`, with
+/// `main` final. It accepts `v · c_k … c_1` exactly when `c_1 … c_k` is a
+/// chain of call sites from `main` down to `proc(v)`, and it is already
+/// deterministic: a vertex names one procedure, a call site one callee.
+fn call_chains(sdg: &Sdg, enc: &Encoded, verts: impl IntoIterator<Item = VertexId>) -> Nfa {
+    let mut nfa = Nfa::new();
+    let procs: Vec<StateId> = sdg.procs.iter().map(|_| nfa.add_state()).collect();
+    nfa.set_final(procs[sdg.main.index()]);
+    for v in verts {
+        let q = procs[sdg.vertex(v).proc.index()];
+        nfa.add_transition(nfa.initial(), Some(enc.vertex_symbol(v)), q);
+    }
+    for c in &sdg.call_sites {
+        if let CalleeKind::User(q) = c.callee {
+            let caller = procs[c.caller.index()];
+            nfa.add_transition(procs[q.index()], Some(enc.call_symbol(c.id)), caller);
+        }
+    }
+    nfa
+}
+
+/// Checks the precondition under which [`call_chains`] reads the same
+/// language as `post*`: every vertex is reachable from its own
+/// procedure's entry along `Control`/`Flow`/`LibActual` edges that stay
+/// inside the procedure. One walk per procedure, `O(V + E)` in all.
+///
+/// # Errors
+///
+/// [`SpecError::SdgBuild`] naming the first vertex the walk misses.
+pub(crate) fn check_entry_reachability(sdg: &Sdg) -> Result<(), SpecError> {
+    let mut seen = vec![false; sdg.vertex_count()];
+    let mut stack = Vec::new();
+    for p in &sdg.procs {
+        seen[p.entry.index()] = true;
+        stack.push(p.entry);
+        while let Some(u) = stack.pop() {
+            for &(v, kind) in sdg.successors(u) {
+                let intra = matches!(
+                    kind,
+                    EdgeKind::Control | EdgeKind::Flow | EdgeKind::LibActual
+                );
+                if intra && sdg.vertex(v).proc == p.id && !seen[v.index()] {
+                    seen[v.index()] = true;
+                    stack.push(v);
+                }
+            }
+        }
+    }
+    match seen.iter().position(|&s| !s) {
+        None => Ok(()),
+        Some(i) => {
+            let v = VertexId(i as u32);
+            Err(SpecError::SdgBuild(SdgError::new(format!(
+                "vertex {} ({v:?}) is not reachable from its procedure's \
+                 entry along intraprocedural edges",
+                sdg.label(v)
+            ))))
+        }
+    }
 }
 
 /// Converts an arbitrary NFA into a query P-automaton: determinize +

@@ -28,21 +28,22 @@ use std::sync::Arc;
 /// Removes the feature identified by the forward stack-configuration slice
 /// from `criterion`, returning the residual specialization slice.
 ///
-/// One-shot wrapper: encodes the SDG and computes the reachable automaton
-/// for this single call. Multi-query clients should use
-/// [`crate::Slicer::remove_feature`], which shares both across queries.
+/// One-shot wrapper: encodes the SDG for this single call. Multi-query
+/// clients should use [`crate::Slicer::remove_feature`], which shares the
+/// encoding and the forward saturation base across queries.
 ///
 /// # Errors
 ///
-/// Fails on malformed criteria or internal invariant violations.
+/// [`SpecError::SdgBuild`] when some vertex is not reachable from its
+/// procedure's entry (see [`crate::criteria`]); otherwise fails on
+/// malformed criteria or internal invariant violations.
 pub fn remove_feature(sdg: &Sdg, criterion: &Criterion) -> Result<SpecSlice, SpecError> {
+    criteria::check_entry_reachability(sdg)?;
     let enc = encode::encode_sdg(sdg);
-    let reachable = criteria::reachable_configurations(sdg, &enc)?;
     remove_feature_reusing(
         sdg,
         &enc,
         SaturationBase::empty(),
-        &reachable,
         criterion,
         &Arc::new(VariantStore::new()),
     )
@@ -50,24 +51,22 @@ pub fn remove_feature(sdg: &Sdg, criterion: &Criterion) -> Result<SpecSlice, Spe
 
 /// [`remove_feature`] against a session's cached encoding, forward
 /// saturation base ([`SaturationBase::forward`] of `enc`'s rule index, or
-/// [`SaturationBase::empty`]), reachable automaton (Alg. 2 always needs
-/// both), and variant store (the residual slice's content is interned
-/// there).
+/// [`SaturationBase::empty`]), and variant store (the residual slice's
+/// content is interned there). The reachable configurations come from the
+/// call graph ([`criteria::reachable_configurations`]).
 pub fn remove_feature_reusing(
     sdg: &Sdg,
     enc: &encode::Encoded,
     base: &SaturationBase,
-    reachable: &specslice_fsa::Nfa,
     criterion: &Criterion,
     store: &Arc<VariantStore>,
 ) -> Result<SpecSlice, SpecError> {
-    let ac = criteria::query_automaton_reusing(sdg, enc, Some(reachable), criterion)?;
+    let ac = criteria::query_automaton(sdg, enc, criterion)?;
     // A0 = Poststar(A_C): the feature, as a configuration language, read
     // from main's control location and trimmed straight from the
-    // saturation rows (as `reachable_configurations` reads its `post*`).
-    // The query came out of `query_automaton_reusing`, which guarantees
-    // the post* preconditions — a violation here is a slicer bug, but it
-    // is reported as a structured [`SpecError::Pds`] (engine error
+    // saturation rows. The query came out of `query_automaton`, which
+    // guarantees the post* preconditions — a violation here is a slicer
+    // bug, but it is reported as a structured [`SpecError::Pds`] (engine error
     // preserved as the `source`) rather than a worker-killing panic.
     let mut scratch = SaturationScratch::default();
     let (a0, _) = saturate_a1_with_stats(
@@ -80,7 +79,8 @@ pub fn remove_feature_reusing(
     )
     .map_err(|e| SpecError::pds("poststar", e))?;
     // A1 = Reachable ∖ A0.
-    let a1 = difference(reachable, &Dfa::determinize(&a0.to_nfa()));
+    let reachable = criteria::reachable_configurations(sdg, enc)?;
+    let a1 = difference(&reachable, &Dfa::determinize(&a0.to_nfa()));
     let (a1, _) = a1.trimmed();
     // Continue at line 4 of Alg. 1.
     let a6 = mrd(&a1);

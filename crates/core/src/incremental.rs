@@ -1,7 +1,7 @@
 //! Incremental re-slicing: editing a [`Slicer`] session in place.
 //!
-//! A session caches three program-dependent artifacts — the SDG, the
-//! SDG→PDS encoding, and the reachable-configuration automaton — plus a
+//! A session caches the program-dependent artifacts — the SDG, the
+//! SDG→PDS encoding, and the saturation bases over it — plus a
 //! criterion → slice memo. Rebuilding all of that after every edit throws
 //! away exactly the work a sustained edit-reslice loop needs to keep.
 //! [`Slicer::apply_edit`] threads a [`ProgramDelta`] through every layer
@@ -14,11 +14,9 @@
 //! 3. the PDS encoding is patched in place: surviving internal rules are
 //!    identifier-remapped, only rebuilt procedures' rules and the
 //!    interprocedural plumbing are re-derived ([`encode::patch_encoding`]);
-//! 4. the reachable-configuration automaton is kept (symbol-remapped)
-//!    whenever the edit cannot have changed it — i.e. no rebuilt procedure
-//!    is call-reachable from `main` — and dropped for lazy rebuild
-//!    otherwise; the backward saturation base is always dropped for lazy
-//!    rebuild;
+//! 4. both saturation bases are dropped for lazy rebuild (nothing else
+//!    is program-dependent: an all-contexts query reads its stack language
+//!    off the patched call graph, see [`crate::criteria`]);
 //! 5. memo entries are kept (identifier-remapped, re-canonicalized, and
 //!    re-read-out once into the session's fresh [`VariantStore`] — the
 //!    superseded store's rows are keyed by pre-edit vertex ids) unless the
@@ -44,7 +42,7 @@ use specslice_lang::{Program, ProgramDelta};
 use specslice_sdg::build::build_sdg;
 use specslice_sdg::{patch_sdg, CallSiteId, CalleeKind, ProcId, Sdg, SdgPatch, VertexId};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What one [`Slicer::apply_edit`] call reused versus recomputed.
 #[derive(Clone, Debug, Default)]
@@ -61,8 +59,6 @@ pub struct EditReport {
     pub memo_kept: usize,
     /// Memo entries invalidated by the edit.
     pub memo_dropped: usize,
-    /// Whether the cached reachable-configuration automaton survived.
-    pub reachable_kept: bool,
     /// `true` when patching was not possible and the session fell back to a
     /// full rebuild (results are identical either way).
     pub full_rebuild: bool,
@@ -70,8 +66,7 @@ pub struct EditReport {
 
 impl Slicer {
     /// Applies a program edit to the session in place, patching the cached
-    /// SDG, PDS encoding, reachable automaton, and slice memo instead of
-    /// rebuilding them.
+    /// SDG, PDS encoding, and slice memo instead of rebuilding them.
     ///
     /// After this returns, the session behaves exactly like
     /// `Slicer::from_program` on the edited program — same slices, byte for
@@ -271,25 +266,6 @@ impl Slicer {
             }
         }
 
-        // The reachable-configuration automaton describes `post*` from
-        // `main`: it survives exactly when no rebuilt procedure is live
-        // (call-reachable from `main`) — edits confined to dead code cannot
-        // change it. Otherwise it is dropped and lazily rebuilt.
-        let live = call_descendants(
-            &patch.sdg,
-            std::iter::once(patch.sdg.proc(patch.sdg.main).name.clone()),
-        );
-        let reachable = OnceLock::new();
-        let mut reachable_kept = false;
-        if patch.rebuilt.is_disjoint(&live) {
-            if let Some(r) = self.reachable.get().and_then(|r| r.as_ref().ok()) {
-                if let Some(remapped) = r.remap_symbols(sym_map) {
-                    let _ = reachable.set(Ok(remapped));
-                    reachable_kept = true;
-                }
-            }
-        }
-
         let report = EditReport {
             rebuilt_procs: patch.rebuilt.iter().cloned().collect(),
             reused_procs: patch.reused_procs,
@@ -297,7 +273,6 @@ impl Slicer {
             rules_rebuilt: enc_stats.rules_rebuilt,
             memo_kept: kept.len(),
             memo_dropped: dropped,
-            reachable_kept,
             full_rebuild: false,
         };
 
@@ -305,7 +280,6 @@ impl Slicer {
         self.sdg = patch.sdg;
         self.enc = enc;
         self.store = new_store;
-        self.reachable = reachable;
         // The bases saturate the old encoding; dropped for lazy rebuild,
         // so an edit never pays for them.
         self.saturation_bases = Default::default();
@@ -327,7 +301,6 @@ impl Slicer {
         self.sdg = sdg;
         self.enc = enc;
         self.store = Arc::new(VariantStore::new());
-        self.reachable = OnceLock::new();
         self.saturation_bases = Default::default();
         self.memo.write().unwrap_or_else(|e| e.into_inner()).clear();
         Ok(EditReport {
@@ -365,9 +338,9 @@ mod tests {
     use crate::{Criterion, Direction, Slicer};
 
     /// The full-rebuild fallback drops both saturation bases like the
-    /// patch path does; the next query rebuilds them over the new encoding
-    /// and answers like a fresh session. (An all-contexts criterion builds
-    /// the reachable automaton, which reads the forward base.)
+    /// patch path does; the next query of each direction rebuilds its base
+    /// over the new encoding and answers like a fresh session. A backward
+    /// all-contexts slice builds only the backward base.
     #[test]
     fn full_rebuild_drops_the_saturation_base() {
         const SRC: &str = r#"
@@ -381,6 +354,8 @@ mod tests {
         let builds = |s: &Slicer| {
             [Direction::Backward, Direction::Forward].map(|d| s.saturation_base_builds(d))
         };
+        assert_eq!(builds(&slicer), [1, 0]);
+        slicer.forward_slice(&all).unwrap();
         assert_eq!(builds(&slicer), [1, 1]);
 
         let program = slicer.program().unwrap().clone();
@@ -392,11 +367,17 @@ mod tests {
 
         let all = Criterion::printf_actuals(slicer.sdg());
         let again = slicer.slice(&all).unwrap();
+        assert_eq!(builds(&slicer), [2, 1]);
+        let forward = slicer.forward_slice(&all).unwrap();
         assert_eq!(builds(&slicer), [2, 2]);
         let fresh = Slicer::from_program(program).unwrap();
         assert_eq!(
             format!("{again:?}"),
             format!("{:?}", fresh.slice(&all).unwrap())
+        );
+        assert_eq!(
+            format!("{forward:?}"),
+            format!("{:?}", fresh.forward_slice(&all).unwrap())
         );
     }
 }

@@ -60,8 +60,8 @@
 //! let regen = slicer.regenerate(&slice)?;
 //! assert!(regen.source.contains("void p__1"));
 //!
-//! // Batch queries reuse the cached encoding (and the reachable-stack
-//! // automaton) instead of re-encoding per criterion:
+//! // Batch queries reuse the cached encoding (and the saturation base)
+//! // instead of re-encoding per criterion:
 //! let per_vertex: Vec<Criterion> = slicer
 //!     .sdg()
 //!     .printf_actual_in_vertices()
@@ -148,8 +148,7 @@ pub enum SpecError {
     /// exact precondition that failed and error chains render it via
     /// [`std::error::Error::source`].
     Pds {
-        /// Which engine invocation failed (e.g. `"prestar"`, `"poststar"`,
-        /// `"poststar(reachable)"`).
+        /// Which engine invocation failed (`"prestar"` or `"poststar"`).
         stage: &'static str,
         /// The engine's structured error.
         source: specslice_pds::PdsError,
@@ -241,10 +240,14 @@ impl From<LangError> for SpecError {
 ///
 /// # Errors
 ///
-/// Fails on malformed criteria (unknown vertices / call sites) and on
+/// [`SpecError::SdgBuild`] when some vertex is not reachable from its
+/// procedure's entry (the precondition of the call-graph stack language,
+/// see [`criteria`]; `build_sdg` output always satisfies it). Otherwise
+/// fails on malformed criteria (unknown vertices / call sites) and on
 /// internal invariant violations (which would indicate a bug — the result is
 /// validated against Cor. 3.19 before being returned).
 pub fn specialize(sdg: &Sdg, criterion: &Criterion) -> Result<SpecSlice, SpecError> {
+    criteria::check_entry_reachability(sdg)?;
     let enc = encode::encode_sdg(sdg);
     let query = criteria::query_automaton(sdg, &enc, criterion)?;
     let store = std::sync::Arc::new(VariantStore::new());

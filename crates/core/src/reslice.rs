@@ -88,8 +88,7 @@ pub fn reslice_check_reusing(
     // languages. R is a different program, so its slice content goes into a
     // transient store — the session store only ever holds rows keyed by the
     // original program's vertex ids.
-    let query_r =
-        criteria::query_automaton_reusing(&sdg_r, &enc_r, None, &Criterion::Automaton(c_prime))?;
+    let query_r = criteria::query_automaton(&sdg_r, &enc_r, &Criterion::Automaton(c_prime))?;
     let store_r = std::sync::Arc::new(crate::store::VariantStore::new());
     let (slice_r, _) = crate::slicer::run_query(
         specslice_pds::Direction::Backward,

@@ -284,8 +284,8 @@ impl Slicer {
     }
 
     /// Estimated resident bytes of this session: SDG, PDS encoding, variant
-    /// store, memoized automata, the reachable-configuration automaton and
-    /// the saturation bases once something has built them, and the
+    /// store, memoized automata, the saturation bases once something has
+    /// built them, and the
     /// warm scratch pool (saturation arenas, row tables, and readout
     /// buffers retained by idle workers).
     /// Built from the deterministic `approx_bytes` helpers
@@ -293,7 +293,6 @@ impl Slicer {
     /// [`crate::encode::Encoded::approx_bytes`],
     /// [`crate::StoreStats::approx_bytes`],
     /// [`PipelineStats::approx_bytes`],
-    /// [`specslice_fsa::Nfa::approx_bytes`],
     /// [`specslice_pds::SaturationBase::approx_bytes`],
     /// [`crate::ScratchStats`]), so eviction decisions based on it
     /// — the server's session budget — are reproducible across runs.
@@ -311,10 +310,6 @@ impl Slicer {
             + self.enc.approx_bytes()
             + self.store_stats().approx_bytes()
             + memo_bytes
-            + match self.reachable.get() {
-                Some(Ok(nfa)) => nfa.approx_bytes(),
-                _ => 0,
-            }
             + [Direction::Backward, Direction::Forward]
                 .into_iter()
                 .filter_map(|dir| self.saturation_base(dir))

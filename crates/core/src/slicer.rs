@@ -1,15 +1,16 @@
 //! The [`Slicer`] session: one program, many slicing queries — in parallel.
 //!
 //! Alg. 1's pipeline splits into *program-dependent* stages (frontend → SDG
-//! construction → PDS encoding → the reachable-configuration automaton →
-//! `pre*` of the empty query) and *criterion-dependent* stages (query
-//! automaton → `Prestar` over that base → MRD → read-out). The paper's
-//! entire evaluation slices each test program once per `printf` — a
-//! multi-criterion workload — and a naive client pays the
-//! program-dependent cost on every call. A `Slicer` runs those stages once
-//! (the reachable automaton and the saturation base lazily, on the first
-//! criterion that needs each) and reuses them for every subsequent query,
-//! batch, feature removal, regeneration, or reslice check.
+//! construction → PDS encoding → `pre*` of the empty query) and
+//! *criterion-dependent* stages (query automaton → `Prestar` over that base
+//! → MRD → read-out). The paper's entire evaluation slices each test
+//! program once per `printf` — a multi-criterion workload — and a naive
+//! client pays the program-dependent cost on every call. A `Slicer` runs
+//! those stages once (each saturation base lazily, on the first query of
+//! its direction) and reuses them for every subsequent query, batch,
+//! feature removal, regeneration, or reslice check. An all-contexts
+//! query's realizable-stack language is read off the call graph per query
+//! (see [`crate::criteria`]), so no `post*` automaton is cached for it.
 //!
 //! The criterion-dependent stages are *independent* across criteria and
 //! touch the session state read-only, so [`Slicer::slice_batch`] fans a
@@ -18,8 +19,8 @@
 //! `QueryScratch` — the saturation rows/worklists and read-out tables of
 //! the whole criterion-dependent pipeline, plus a private [`VariantStore`]
 //! shard its read-outs intern into; the shared `Sdg`, PDS encoding (with
-//! its prebuilt rule index), reachable automaton, and saturation base are
-//! borrowed immutably by all workers. Results are assembled in input order
+//! its prebuilt rule index), and saturation bases are borrowed immutably by
+//! all workers. Results are assembled in input order
 //! and *adopted* into the session's variant store in that order, so batch
 //! output — including the store's interned ids and dedup counters — is
 //! bit-for-bit identical at every thread count.
@@ -120,8 +121,8 @@ pub struct BatchResult {
 }
 
 /// A slicing session over one program: cached SDG, cached PDS encoding,
-/// lazily cached reachable-configuration automaton, and the shared
-/// [`VariantStore`] every slice's content is interned into.
+/// lazily cached saturation bases, and the shared [`VariantStore`] every
+/// slice's content is interned into.
 ///
 /// Construction runs everything that depends only on the program; every
 /// query method ([`slice`](Slicer::slice), [`slice_batch`](Slicer::slice_batch),
@@ -140,21 +141,13 @@ pub struct Slicer {
     /// its variant content here (batch workers intern into private shards
     /// first; results are re-interned in input order).
     pub(crate) store: Arc<VariantStore>,
-    /// `post*({⟨entry_main, ε⟩})` as an NFA — needed by all-contexts
-    /// criteria and feature removal; built on first use, then shared. The
-    /// cell caches the build *outcome* (a [`SpecError::Pds`] build failure
-    /// is cached too, so every caller sees the same structured error
-    /// instead of one caller panicking on behalf of the rest).
-    pub(crate) reachable: OnceLock<Result<Nfa, SpecError>>,
-    pub(crate) reachable_builds: AtomicUsize,
     /// One saturation base per direction, indexed by [`dir_slot`]: the
     /// criterion-independent part of every saturation in that direction,
     /// which each query then only extends (see `specslice_pds::base`) —
     /// `pre*` of the empty query backward, the closure of every push's
-    /// first hop forward. The backward base is built by the first backward
-    /// query that misses the memo; the forward one by the first forward
-    /// query that misses it or the first build of the reachable automaton,
-    /// which reads it too. Never built by session construction or
+    /// first hop forward. Each is built by the first query of its
+    /// direction that misses the memo (forward: or the first feature
+    /// removal). Never built by session construction or
     /// [`Slicer::apply_edit`], which drops both.
     pub(crate) saturation_bases: [OnceLock<Arc<SaturationBase>>; 2],
     saturation_base_builds: [AtomicUsize; 2],
@@ -395,12 +388,20 @@ impl Slicer {
     /// Builds a session from a pre-built SDG. Source regeneration is
     /// unavailable ([`regenerate`](Slicer::regenerate) reports
     /// [`SpecError::Internal`]); everything else works.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::SdgBuild`] when some vertex is not reachable from its
+    /// procedure's entry along intraprocedural edges — the precondition of
+    /// the call-graph stack language all-contexts criteria read (see
+    /// [`crate::criteria`]). `build_sdg` output always satisfies it.
     pub fn from_sdg(sdg: Sdg) -> Result<Slicer, SpecError> {
         Slicer::from_sdg_with(sdg, SlicerConfig::default())
     }
 
     /// [`from_sdg`](Slicer::from_sdg) with explicit options.
     pub fn from_sdg_with(sdg: Sdg, config: SlicerConfig) -> Result<Slicer, SpecError> {
+        criteria::check_entry_reachability(&sdg)?;
         Ok(Slicer::assemble(None, sdg, config))
     }
 
@@ -416,8 +417,6 @@ impl Slicer {
             enc,
             config,
             store: Arc::new(VariantStore::new()),
-            reachable: OnceLock::new(),
-            reachable_builds: AtomicUsize::new(0),
             saturation_bases: Default::default(),
             saturation_base_builds: Default::default(),
             queries_run: AtomicUsize::new(0),
@@ -461,18 +460,10 @@ impl Slicer {
         self.store.stats()
     }
 
-    /// How many times the reachable-configuration automaton was built
-    /// (0 until a criterion needs it, then 1 forever — it is cached, and
-    /// the cache is race-free even when a parallel batch forces it).
-    pub fn reachable_builds(&self) -> usize {
-        self.reachable_builds.load(Ordering::Relaxed)
-    }
-
     /// How many times the `dir` saturation base was built: 0 until a
-    /// query in that direction misses the memo (forward: or the reachable
-    /// automaton is built), then 1 until an edit drops it. Like the
-    /// reachable automaton, the cache is race-free when a parallel batch
-    /// forces it.
+    /// query in that direction misses the memo (forward: or a feature is
+    /// removed), then 1 until an edit drops it. The cache is race-free when
+    /// a parallel batch forces it.
     pub fn saturation_base_builds(&self, dir: Direction) -> usize {
         self.saturation_base_builds[dir_slot(dir)].load(Ordering::Relaxed)
     }
@@ -542,19 +533,6 @@ impl Slicer {
         self.memo.read().unwrap_or_else(|e| e.into_inner()).len()
     }
 
-    /// The cached `post*({⟨entry_main, ε⟩})` automaton, saturated over
-    /// the session's forward base.
-    fn reachable(&self) -> Result<&Nfa, SpecError> {
-        self.reachable
-            .get_or_init(|| {
-                self.reachable_builds.fetch_add(1, Ordering::Relaxed);
-                let base = self.base_for(Direction::Forward);
-                criteria::reachable_configurations_over(&self.sdg, &self.enc, base)
-            })
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
     /// The base a `dir` saturation runs over: the session's cached base of
     /// that direction, built on first use.
     fn base_for(&self, dir: Direction) -> &SaturationBase {
@@ -570,13 +548,7 @@ impl Slicer {
 
     fn query(&self, criterion: &Criterion) -> Result<PAutomaton, SpecError> {
         self.queries_run.fetch_add(1, Ordering::Relaxed);
-        let reachable = match criterion {
-            // Only all-contexts criteria consult the reachable automaton;
-            // don't force the cache for the others.
-            Criterion::AllContexts(_) => Some(self.reachable()?),
-            _ => None,
-        };
-        criteria::query_automaton_reusing(&self.sdg, &self.enc, reachable, criterion)
+        criteria::query_automaton(&self.sdg, &self.enc, criterion)
     }
 
     /// Answers a memoized criterion: clones the cached ids/automaton and
@@ -776,20 +748,10 @@ impl Slicer {
         Ok(self.adopt(answer))
     }
 
-    /// Forces the shared caches a batch will need before fanning it out,
-    /// so the workers start against warm caches instead of serializing on
-    /// their initialization locks: the reachable automaton when a criterion
-    /// is all-contexts (a build *failure* is cached and surfaces
-    /// per-criterion, so it is deliberately ignored here), and the
-    /// direction's saturation base when a criterion will miss the memo.
-    fn warm_caches_for(&self, dir: Direction, criteria: &[Criterion]) {
-        if self.reachable.get().is_none()
-            && criteria
-                .iter()
-                .any(|c| matches!(c, Criterion::AllContexts(_)))
-        {
-            let _ = self.reachable();
-        }
+    /// Forces the direction's saturation base before fanning a batch out
+    /// when a criterion will miss the memo, so the workers start against a
+    /// warm base instead of serializing on its initialization lock.
+    fn warm_base_for(&self, dir: Direction, criteria: &[Criterion]) {
         if self.saturation_base(dir).is_none() {
             let misses = !self.config.memoize || {
                 let memo = self.memo.read().unwrap_or_else(|e| e.into_inner());
@@ -809,7 +771,7 @@ impl Slicer {
     fn batch_raw(&self, dir: Direction, criteria: &[Criterion]) -> (RawBatch, Vec<WorkerStats>) {
         let pool = Pool::new(self.config.num_threads);
         if pool.threads() > 1 {
-            self.warm_caches_for(dir, criteria);
+            self.warm_base_for(dir, criteria);
         }
         pool.map_init_stats(criteria, QueryScratch::default, |scratch, _, criterion| {
             let shard = scratch.shard.clone();
@@ -818,7 +780,7 @@ impl Slicer {
     }
 
     /// Slices every criterion in `criteria`, sharing the per-program work
-    /// (encoding, reachable automaton) across the whole batch and fanning
+    /// (encoding, saturation base) across the whole batch and fanning
     /// the criteria out over [`SlicerConfig::num_threads`] worker threads.
     ///
     /// Results come back in input order, one [`SpecSlice`] per criterion —
@@ -1035,14 +997,13 @@ impl Slicer {
 
     /// Removes the feature identified by the forward stack-configuration
     /// slice from `criterion` (Alg. 2 / §7), reusing the cached encoding
-    /// *and* the cached reachable automaton (which Alg. 2 always needs).
+    /// and forward saturation base.
     pub fn remove_feature(&self, criterion: &Criterion) -> Result<SpecSlice, SpecError> {
         self.queries_run.fetch_add(1, Ordering::Relaxed);
         feature_removal::remove_feature_reusing(
             &self.sdg,
             &self.enc,
             self.base_for(Direction::Forward),
-            self.reachable()?,
             criterion,
             &self.store,
         )

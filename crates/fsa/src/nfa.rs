@@ -27,8 +27,8 @@ impl fmt::Debug for StateId {
 /// thousands of tiny automata (MRD chains run seven passes over automata
 /// with a handful of states), and for those the hash set's growth-and-rehash
 /// cost dwarfs the handful of comparisons a row scan needs; only automata
-/// with genuinely wide rows (saturation outputs, the reachable automaton)
-/// ever pay for hashing.
+/// with genuinely wide rows (saturation outputs, the initial state of the
+/// reachable-configuration automaton) ever pay for hashing.
 const LINEAR_DEDUP_MAX: usize = 32;
 
 /// A nondeterministic finite automaton with a single initial state,

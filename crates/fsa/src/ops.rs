@@ -56,9 +56,9 @@ pub fn remove_epsilon(nfa: &Nfa) -> Nfa {
 
 /// `nfa` itself when it has no ε-transition — [`remove_epsilon`] would
 /// return an identical copy — else its ε-free equivalent. The product
-/// constructions below take their operands through this, so a session's
-/// cached reachable automaton (a minimized DFA) is borrowed by every
-/// all-contexts query instead of being copied into it.
+/// constructions below take their operands through this, so an ε-free
+/// operand (the reachable-configuration DFA feature removal and reslicing
+/// pass, say) is borrowed instead of being copied.
 fn without_epsilon(nfa: &Nfa) -> Cow<'_, Nfa> {
     if nfa.transitions().any(|(_, l, _)| l.is_none()) {
         Cow::Owned(remove_epsilon(nfa))

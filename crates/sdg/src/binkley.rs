@@ -27,10 +27,17 @@ pub struct MonovariantSlice {
 
 /// Computes Binkley's monovariant executable slice from `criterion`.
 pub fn monovariant_executable_slice(sdg: &Sdg, criterion: &[VertexId]) -> MonovariantSlice {
-    // The summary edges depend only on the SDG, so every repair round
-    // reuses them.
-    let summaries = Summaries::of(sdg);
-    let closure = backward_closure_slice_with(sdg, &summaries, criterion);
+    monovariant_executable_slice_with(sdg, &Summaries::of(sdg), criterion)
+}
+
+/// [`monovariant_executable_slice`] over summary edges derived once for
+/// `sdg` ([`Summaries::of`]); every repair round reuses them.
+pub fn monovariant_executable_slice_with(
+    sdg: &Sdg,
+    summaries: &Summaries,
+    criterion: &[VertexId],
+) -> MonovariantSlice {
+    let closure = backward_closure_slice_with(sdg, summaries, criterion);
     let mut current = closure.clone();
     let mut iterations = 0;
     loop {
@@ -41,7 +48,7 @@ pub fn monovariant_executable_slice(sdg: &Sdg, criterion: &[VertexId]) -> Monova
         }
         let mut seeds: Vec<VertexId> = current.iter().copied().collect();
         seeds.extend(mismatches.iter().copied());
-        current = backward_closure_slice_with(sdg, &summaries, &seeds);
+        current = backward_closure_slice_with(sdg, summaries, &seeds);
     }
     let extraneous = current.difference(&closure).copied().collect();
     MonovariantSlice {

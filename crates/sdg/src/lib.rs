@@ -48,6 +48,7 @@ pub use model::{
 };
 pub use modref::ModRefInfo;
 pub use patch::{patch_sdg, SdgPatch};
+pub use summary::Summaries;
 
 use std::fmt;
 

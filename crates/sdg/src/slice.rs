@@ -50,8 +50,9 @@ pub fn backward_closure_slice(sdg: &Sdg, criterion: &[VertexId]) -> BTreeSet<Ver
     backward_closure_slice_with(sdg, &Summaries::of(sdg), criterion)
 }
 
-/// [`backward_closure_slice`] over precomputed summary edges.
-pub(crate) fn backward_closure_slice_with(
+/// [`backward_closure_slice`] over summary edges derived once for `sdg`
+/// ([`Summaries::of`]).
+pub fn backward_closure_slice_with(
     sdg: &Sdg,
     summaries: &Summaries,
     criterion: &[VertexId],

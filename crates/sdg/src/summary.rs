@@ -5,8 +5,9 @@
 //! *same-level* realizable path. Summary edges make the two-phase closure
 //! slicer context-sensitive. Alg. 1 of the paper does not need them — the
 //! PDS encoding has no rule for them — so the SDG does not carry them: the
-//! closure and Binkley baselines compute the relation here, once per call,
-//! as a value of their own.
+//! closure and Binkley baselines compute the relation here as a value of
+//! their own, once per call, or once per SDG through their `_with`
+//! variants and a [`Summaries`] handle.
 //!
 //! The worklist deliberately reads only SDG edges, not the `specslice`
 //! session's `pre*` base: the closure slice is the independent reference
@@ -34,9 +35,13 @@ impl PathEdges {
     }
 }
 
-/// The summary relation of one SDG, indexed both ways.
+/// The summary relation of one SDG, indexed both ways: an opaque handle a
+/// caller derives once ([`Summaries::of`]) and passes to
+/// [`crate::slice::backward_closure_slice_with`] and
+/// [`crate::binkley::monovariant_executable_slice_with`] for any number of
+/// criteria over that SDG.
 #[derive(Debug)]
-pub(crate) struct Summaries {
+pub struct Summaries {
     /// `preds[ao]`: the actual-ins with a summary edge into actual-out `ao`.
     preds: Vec<Vec<VertexId>>,
     /// `succs[ai]`: the actual-outs with a summary edge from actual-in `ai`.
@@ -45,7 +50,7 @@ pub(crate) struct Summaries {
 
 impl Summaries {
     /// Computes every summary edge of `sdg`.
-    pub(crate) fn of(sdg: &Sdg) -> Summaries {
+    pub fn of(sdg: &Sdg) -> Summaries {
         let n = sdg.vertex_count();
         let mut s = Summaries {
             preds: vec![Vec::new(); n],

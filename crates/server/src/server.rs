@@ -22,6 +22,13 @@
 //! | `evict`              | `session`                           | `evicted` |
 //! | `shutdown`           |                                     | `snapshots_written` |
 //!
+//! `apply_edit`'s `report` carries [`specslice::EditReport`]'s counters:
+//! `rebuilt_procs`, `reused_procs`, `rules_reused`, `rules_rebuilt`,
+//! `memo_kept`, `memo_dropped`, `full_rebuild`. `stats` with a `session`
+//! adds `session_stats`: `session`, `bytes`, `memo_len`, `memo_hits`,
+//! `queries_run`, `store_interned`, `store_row_bytes`, `warm`,
+//! `memo_imported`.
+//!
 //! Query responses (`slice`, `slice_batch`, …) are **deterministic**: they
 //! carry no wall-clock, no memo-hit flags, and serialize through the
 //! ordered [`Json`] writer — so a response answered from a warm memo, a
@@ -602,7 +609,6 @@ fn op_apply_edit(state: &State, id: &Json, request: &Json) -> Result<Json, Json>
                     ("rules_rebuilt", Json::Int(report.rules_rebuilt as i64)),
                     ("memo_kept", Json::Int(report.memo_kept as i64)),
                     ("memo_dropped", Json::Int(report.memo_dropped as i64)),
-                    ("reachable_kept", Json::Bool(report.reachable_kept)),
                     ("full_rebuild", Json::Bool(report.full_rebuild)),
                 ]),
             ),
@@ -661,10 +667,6 @@ fn op_stats(state: &State, id: &Json, request: &Json) -> Result<Json, Json> {
                 ("memo_len", Json::Int(slicer.memo_len() as i64)),
                 ("memo_hits", Json::Int(slicer.memo_hits() as i64)),
                 ("queries_run", Json::Int(slicer.queries_run() as i64)),
-                (
-                    "reachable_builds",
-                    Json::Int(slicer.reachable_builds() as i64),
-                ),
                 ("store_interned", Json::Int(store.interned as i64)),
                 ("store_row_bytes", Json::Int(store.row_bytes as i64)),
                 ("warm", Json::Bool(session.warm)),

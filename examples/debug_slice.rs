@@ -42,13 +42,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     );
 
-    // The first backward query built the session's two saturation bases:
-    // backward, `pre*` of the empty query, and forward, the `post*`
-    // closure of every push's first hop, which the reachable automaton
-    // this all-contexts criterion needs is read over. Every query after
-    // them only saturates its own overlay. Each base's work is reported
-    // here, once; the `saturation=` field above counts base + overlay
-    // transitions.
+    // The first backward query built the session's backward saturation
+    // base, `pre*` of the empty query. A backward-only session never
+    // builds the forward one (the `post*` closure of every push's first
+    // hop): an all-contexts criterion reads its realizable stacks off the
+    // call graph. Every query after the base only saturates its own
+    // overlay. Each built base's work is reported here, once; the
+    // `saturation=` field above counts base + overlay transitions.
     for dir in [Direction::Backward, Direction::Forward] {
         if let Some(base) = slicer.saturation_base(dir) {
             let b = base.stats();

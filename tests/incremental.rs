@@ -2,10 +2,9 @@
 //! *indistinguishable* from building a fresh session on the edited program —
 //! byte-identical slices for every criterion, across every corpus program
 //! and a scripted sequence of edits — while actually reusing cached state
-//! (memo entries, dependence edges, the reachable automaton) whenever the
-//! edit permits.
+//! (memo entries, dependence edges, PDS rules) whenever the edit permits.
 
-use specslice::{Criterion, ProgramDelta, ProgramEdit, Slicer, SlicerConfig};
+use specslice::{Criterion, Direction, ProgramDelta, ProgramEdit, Slicer, SlicerConfig};
 use specslice_corpus::editscript::{self, find_stmt};
 use specslice_lang::ast::{BinOp, Expr, Stmt, StmtKind};
 use specslice_lang::{frontend, StmtId};
@@ -171,9 +170,12 @@ fn unaffected_criteria_are_answered_from_the_memo() {
     assert!(slicer.memo_hits() > hits_before);
 }
 
-/// Edits confined to dead code keep the reachable-configuration automaton.
+/// Edits confined to dead code keep the memo, and a session that only
+/// slices backward never builds the forward saturation base, before or
+/// after edits: all-contexts criteria read their stack language off the
+/// call graph. The first feature removal builds it.
 #[test]
-fn dead_code_edits_keep_the_reachable_automaton() {
+fn dead_code_edits_keep_the_memo_without_a_forward_base() {
     const SRC: &str = r#"
         int g;
         void live(int a) { g = a; }
@@ -182,8 +184,8 @@ fn dead_code_edits_keep_the_reachable_automaton() {
     "#;
     let mut slicer = Slicer::from_source(SRC).unwrap();
     let criteria = per_printf(&slicer);
-    slicer.slice_batch(&criteria).unwrap(); // forces the reachable automaton
-    assert_eq!(slicer.reachable_builds(), 1);
+    slicer.slice_batch(&criteria).unwrap();
+    assert_eq!(slicer.saturation_base_builds(Direction::Forward), 0);
 
     let program = slicer.program().unwrap().clone();
     let id = find_stmt(&program, "dead", |k| matches!(k, StmtKind::Assign { .. })).unwrap();
@@ -198,12 +200,12 @@ fn dead_code_edits_keep_the_reachable_automaton() {
         ),
     });
     let report = slicer.apply_edit(&delta).unwrap();
-    assert!(report.reachable_kept, "{report:?}");
+    assert_eq!(report.rebuilt_procs, vec!["dead".to_string()], "{report:?}");
+    assert_eq!(report.memo_kept, criteria.len(), "{report:?}");
     assert_matches_fresh(&slicer, "dead-code edit");
-    // The kept automaton was reused, not rebuilt.
-    assert_eq!(slicer.reachable_builds(), 1);
+    assert_eq!(slicer.saturation_base_builds(Direction::Forward), 0);
 
-    // A live edit, by contrast, invalidates it.
+    // A live edit invalidates the memo entry; answers still match.
     let program = slicer.program().unwrap().clone();
     let id = find_stmt(&program, "live", |k| matches!(k, StmtKind::Assign { .. })).unwrap();
     let delta = ProgramDelta::single(ProgramEdit::ReplaceStmt {
@@ -217,8 +219,11 @@ fn dead_code_edits_keep_the_reachable_automaton() {
         ),
     });
     let report = slicer.apply_edit(&delta).unwrap();
-    assert!(!report.reachable_kept, "{report:?}");
+    assert_eq!(report.memo_dropped, criteria.len(), "{report:?}");
     assert_matches_fresh(&slicer, "live edit");
+    assert_eq!(slicer.saturation_base_builds(Direction::Forward), 0);
+    slicer.remove_feature(&per_printf(&slicer)[0]).unwrap();
+    assert_eq!(slicer.saturation_base_builds(Direction::Forward), 1);
 }
 
 /// A memoized *empty* slice (unreachable criterion) must be invalidated by

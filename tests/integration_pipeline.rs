@@ -248,8 +248,7 @@ fn feature_removal_matches_the_materialized_post_star_composition() {
             .collect();
         features.push(Criterion::printf_actuals(sdg));
         for feature in &features {
-            let query =
-                criteria::query_automaton_reusing(sdg, enc, Some(&reachable), feature).unwrap();
+            let query = criteria::query_automaton(sdg, enc, feature).unwrap();
             let (post, _) =
                 saturate_indexed_with_stats(Direction::Forward, &enc.index, &query, &mut scratch)
                     .unwrap();

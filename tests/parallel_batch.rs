@@ -2,7 +2,7 @@
 //! identical at every thread count, one bad criterion never poisons the
 //! rest of a batch, and per-thread accounting adds up.
 
-use specslice::{Criterion, Slicer, SlicerConfig, SpecError};
+use specslice::{Criterion, Direction, Slicer, SlicerConfig, SpecError};
 use specslice_sdg::VertexId;
 
 /// Per-printf criteria of a program — the paper's evaluation workload.
@@ -180,16 +180,21 @@ fn per_thread_stats_add_up() {
     assert_eq!(batch.per_thread[0].items, criteria.len());
 }
 
-/// The shared lazily-built reachable automaton is built exactly once even
-/// when a parallel batch of all-contexts criteria races for it.
+/// A parallel batch of all-contexts criteria builds the backward
+/// saturation base exactly once however many workers race for it, and
+/// builds no forward base; a parallel forward batch then builds that once.
 #[test]
-fn reachable_automaton_built_once_under_parallelism() {
+fn saturation_bases_built_once_under_parallelism() {
     let prog = specslice_corpus::by_name("print_tokens").unwrap();
     let slicer = session(prog.source, 8);
     let criteria = per_printf_criteria(&slicer);
-    assert_eq!(slicer.reachable_builds(), 0);
+    let builds =
+        |s: &Slicer| [Direction::Backward, Direction::Forward].map(|d| s.saturation_base_builds(d));
+    assert_eq!(builds(&slicer), [0, 0]);
     slicer.slice_batch(&criteria).unwrap();
     slicer.slice_batch(&criteria).unwrap();
-    assert_eq!(slicer.reachable_builds(), 1);
+    assert_eq!(builds(&slicer), [1, 0]);
     assert_eq!(slicer.queries_run(), 2 * criteria.len());
+    slicer.forward_slice_batch(&criteria).unwrap();
+    assert_eq!(builds(&slicer), [1, 1]);
 }

@@ -220,3 +220,100 @@ fn reslice_languages_agree() {
         );
     }
 }
+
+/// `post*({⟨entry_main, ε⟩})`, saturated over the whole relation and read
+/// from `main`'s control location: the textbook construction of the
+/// reachable configurations, kept here as the oracle for the call-graph
+/// automaton the slicer builds instead.
+fn poststar_of_entry_main(slicer: &Slicer) -> specslice_fsa::Nfa {
+    use specslice::encode::MAIN_CONTROL;
+    use specslice_pds::{
+        saturate_a1_with_stats, Direction, PAutomaton, SaturationBase, SaturationScratch,
+    };
+    let (sdg, enc) = (slicer.sdg(), slicer.encoding());
+    let mut entry = PAutomaton::new(enc.pds.control_count());
+    let f = entry.add_state();
+    entry.set_final(f);
+    let main_entry = sdg.proc(sdg.main).entry;
+    entry.add_transition(
+        entry.control_state(MAIN_CONTROL),
+        Some(enc.vertex_symbol(main_entry)),
+        f,
+    );
+    let mut scratch = SaturationScratch::default();
+    let (a1, _) = saturate_a1_with_stats(
+        Direction::Forward,
+        &enc.index,
+        SaturationBase::empty(),
+        &entry,
+        MAIN_CONTROL,
+        &mut scratch,
+    )
+    .unwrap();
+    a1.to_nfa()
+}
+
+/// The realizable-stack language read off the call graph equals the
+/// `post*` oracle, as a whole (`reachable_configurations`) and restricted
+/// to each printf site's actual-ins (the all-contexts query automaton
+/// against `post* ∩ verts · Γ_c*`), over the corpus, two feature grids, the
+/// 1k scale tier (lowered as the scale bench does), and seeded random
+/// programs with recursion.
+#[test]
+fn call_graph_stack_language_equals_poststar_of_entry_main() {
+    use specslice::criteria::{query_automaton, reachable_configurations};
+    use specslice::encode::MAIN_CONTROL;
+    use specslice_fsa::ops::{equivalent, intersect};
+
+    let mut sessions: Vec<(String, Slicer)> = specslice_corpus::programs()
+        .into_iter()
+        .map(|p| (p.name.to_string(), Slicer::from_source(p.source).unwrap()))
+        .collect();
+    for n in [12, 40] {
+        let source = specslice_corpus::feature_grid(n);
+        sessions.push((format!("grid{n}"), Slicer::from_source(&source).unwrap()));
+    }
+    let tier_1k = specslice_corpus::scale_program(
+        42,
+        specslice_corpus::ScaleConfig {
+            n_procs: 16,
+            n_globals: 8,
+            ring: 4,
+            indirect_pct: 25,
+            n_printfs: 24,
+        },
+    );
+    let program = specslice_lang::frontend(&tier_1k).unwrap();
+    let lowered = specslice::indirect::lower_indirect_calls(&program).unwrap();
+    sessions.push(("1k".into(), Slicer::from_program(lowered).unwrap()));
+    for seed in seeds(48, 211) {
+        let src = random_program(seed, cfg());
+        sessions.push((format!("seed {seed}"), Slicer::from_source(&src).unwrap()));
+    }
+
+    for (name, slicer) in &sessions {
+        let (sdg, enc) = (slicer.sdg(), slicer.encoding());
+        let oracle = poststar_of_entry_main(slicer);
+        let reachable = reachable_configurations(sdg, enc).unwrap();
+        assert!(equivalent(&reachable, &oracle), "{name}: reachable");
+        for site in sdg.printf_call_sites().take(48) {
+            let verts = &site.actual_ins;
+            let mut shape = specslice_fsa::Nfa::new();
+            let f = shape.add_state();
+            shape.set_final(f);
+            for &v in verts {
+                shape.add_transition(shape.initial(), Some(enc.vertex_symbol(v)), f);
+            }
+            for c in &sdg.call_sites {
+                shape.add_transition(f, Some(enc.call_symbol(c.id)), f);
+            }
+            let want = intersect(&oracle, &shape);
+            let query = query_automaton(sdg, enc, &Criterion::AllContexts(verts.clone())).unwrap();
+            assert!(
+                equivalent(&query.to_nfa(MAIN_CONTROL), &want),
+                "{name}: printf site {:?}",
+                site.id
+            );
+        }
+    }
+}

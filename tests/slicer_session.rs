@@ -1,7 +1,7 @@
 //! The `Slicer` session contract: batch ≡ individual, cached encodings are
 //! never rebuilt, structured errors classify and chain.
 
-use specslice::{criteria, Criterion, Direction, Slicer, SlicerConfig, SpecError, SpecSlice};
+use specslice::{Criterion, Direction, Slicer, SlicerConfig, SpecError, SpecSlice};
 use specslice_corpus::{random_program, GenConfig};
 use specslice_sdg::build::build_sdg;
 use std::error::Error as _;
@@ -89,9 +89,10 @@ fn batch_equals_individual_slices() {
 }
 
 /// A session reused across criteria never re-encodes the SDG as a PDS and
-/// builds the reachable automaton at most once. Observed two ways: the
-/// process-wide encode counter does not move, and the cached encoding is
-/// pointer-identical across queries.
+/// builds the backward saturation base at most once (and, slicing only
+/// backward, no forward base). Observed two ways: the process-wide encode
+/// counter does not move, and the cached encoding is pointer-identical
+/// across queries.
 #[test]
 fn session_never_rebuilds_the_pds() {
     let _guard = serial();
@@ -102,7 +103,11 @@ fn session_never_rebuilds_the_pds() {
 
     let enc_before = slicer.encoding() as *const _;
     let encodes_before = specslice::encode::encode_call_count();
-    assert_eq!(slicer.reachable_builds(), 0, "reachable cache is lazy");
+    assert_eq!(
+        slicer.saturation_base_builds(Direction::Backward),
+        0,
+        "bases are lazy"
+    );
 
     for criterion in &criteria {
         slicer.slice(criterion).unwrap();
@@ -122,9 +127,14 @@ fn session_never_rebuilds_the_pds() {
         "cached encoding must be the same instance"
     );
     assert_eq!(
-        slicer.reachable_builds(),
+        slicer.saturation_base_builds(Direction::Backward),
         1,
-        "reachable automaton is built exactly once for the whole session"
+        "the backward base is built exactly once for the whole session"
+    );
+    assert_eq!(
+        slicer.saturation_base_builds(Direction::Forward),
+        0,
+        "backward all-contexts queries build no forward base"
     );
     assert_eq!(slicer.queries_run(), 2 * criteria.len() + 1);
 }
@@ -282,10 +292,52 @@ fn from_sdg_sessions_slice_but_cannot_regenerate() {
     );
 }
 
-/// `approx_bytes` charges the warm scratch pool, the saturation base and
-/// the reachable-configuration automaton: after a batch of all-contexts
-/// criteria leaves recycled `QueryScratch`es behind, the session's
-/// resident estimate is exactly its component sum *including* the pool (the server's
+/// All-contexts criteria read their stack language off the call graph,
+/// which equals `post*({⟨entry_main, ε⟩})` only when every vertex is
+/// reachable from its procedure's entry along intraprocedural edges.
+/// `build_sdg` output passes that check; an SDG with a vertex nothing
+/// reaches is rejected at every entry point that accepts a foreign SDG.
+#[test]
+fn sdgs_with_a_vertex_unreachable_from_its_entry_are_rejected() {
+    use specslice_sdg::{EdgeKind, SdgError, Vertex, VertexKind};
+
+    let _guard = serial();
+    let program = specslice_lang::frontend(specslice_corpus::examples::FIG1).unwrap();
+    let sdg = build_sdg(&program).unwrap();
+    let criterion = Criterion::printf_actuals(&sdg);
+    assert!(Slicer::from_sdg(sdg.clone()).is_ok());
+    assert!(specslice::specialize(&sdg, &criterion).is_ok());
+    assert!(specslice::feature_removal::remove_feature(&sdg, &criterion).is_ok());
+
+    // A copy of one of `main`'s statement vertices that no edge enters.
+    let mut bad = sdg.clone();
+    let main = bad.main;
+    let kind = bad
+        .proc(main)
+        .vertices
+        .iter()
+        .map(|&v| bad.vertex(v).kind.clone())
+        .find(|k| matches!(k, VertexKind::Statement { .. }))
+        .unwrap();
+    let orphan = bad.add_vertex(Vertex { kind, proc: main });
+    bad.procs[main.index()].vertices.push(orphan);
+    // An edge *out of* the orphan does not make it reachable.
+    let entry = bad.proc(main).entry;
+    bad.add_edge(orphan, entry, EdgeKind::Flow);
+    let is_rejection = |e: SpecError| matches!(e, SpecError::SdgBuild(SdgError::Build { .. }));
+    assert!(is_rejection(Slicer::from_sdg(bad.clone()).unwrap_err()));
+    assert!(is_rejection(
+        specslice::specialize(&bad, &criterion).unwrap_err()
+    ));
+    assert!(is_rejection(
+        specslice::feature_removal::remove_feature(&bad, &criterion).unwrap_err()
+    ));
+}
+
+/// `approx_bytes` charges the warm scratch pool and the saturation base:
+/// after a batch of all-contexts criteria leaves recycled `QueryScratch`es
+/// behind, the session's resident estimate is exactly its component sum
+/// *including* the pool (the server's
 /// `--budget-bytes` LRU eviction would otherwise under-charge warm
 /// sessions by megabytes at scale).
 #[test]
@@ -321,19 +373,14 @@ fn approx_bytes_includes_warm_scratch_pool() {
         .saturation_base(Direction::Backward)
         .expect("a backward batch builds the saturation base");
     assert!(base.approx_bytes() > 0);
-    assert_eq!(slicer.reachable_builds(), 1, "all-contexts criteria");
-    let forward_base = slicer
-        .saturation_base(Direction::Forward)
-        .expect("the reachable automaton builds the forward base");
-    assert!(forward_base.approx_bytes() > 0);
-    let reachable = criteria::reachable_configurations(slicer.sdg(), slicer.encoding()).unwrap();
-    assert!(reachable.approx_bytes() > 0);
+    assert!(
+        slicer.saturation_base(Direction::Forward).is_none(),
+        "a backward batch builds no forward base"
+    );
     let expected = slicer.sdg().approx_bytes()
         + slicer.encoding().approx_bytes()
         + slicer.store_stats().approx_bytes()
-        + reachable.approx_bytes()
         + base.approx_bytes()
-        + forward_base.approx_bytes()
         + scratch.approx_bytes;
     assert_eq!(
         slicer.approx_bytes(),
@@ -475,11 +522,10 @@ fn saturation_base_is_built_once_and_only_for_backward_queries() {
 /// The forward saturation base (the `post*` closure of every push's first
 /// hop) is built lazily and at most once per session state, at every
 /// thread count and in both call orders: by the first forward query or
-/// the first build of the reachable automaton (all-contexts criteria and
-/// feature removal read it), whichever comes first. Opening a session
-/// builds none, and neither does backward use with configuration criteria
-/// only. `apply_edit` drops it; memo hits do not rebuild it, the first
-/// forward miss does.
+/// the first feature removal, whichever comes first. Opening a session
+/// builds none, and neither does backward use, with configuration or
+/// all-contexts criteria. `apply_edit` drops it; memo hits do not rebuild
+/// it, the first forward miss does.
 #[test]
 fn forward_saturation_base_is_built_once_per_session() {
     use specslice::{ProgramDelta, ProgramEdit};
@@ -495,11 +541,11 @@ fn forward_saturation_base_is_built_once_per_session() {
             num_threads: threads,
             ..SlicerConfig::default()
         };
-        // Forward entry points and the reachable automaton's users, in two
-        // orders: the first call builds the base, the rest reuse it.
+        // Forward entry points and feature removal, in two orders: the
+        // first call builds the base, the rest reuse it.
         let orders: [&[&str]; 2] = [
-            &["forward", "batch", "specialize", "reachable"],
-            &["reachable", "specialize", "batch", "forward"],
+            &["forward", "batch", "specialize", "remove_feature"],
+            &["remove_feature", "specialize", "batch", "forward"],
         ];
         for order in orders {
             let slicer = Slicer::from_source_with(prog.source, config).unwrap();
@@ -515,8 +561,8 @@ fn forward_saturation_base_is_built_once_per_session() {
                             .specialize_program_directed(Direction::Forward, &criteria)
                             .unwrap(),
                     ),
-                    // Feature removal needs the reachable automaton and
-                    // runs its own `post*` over the forward base.
+                    // Feature removal runs its own `post*` over the
+                    // forward base.
                     _ => drop(slicer.remove_feature(&criteria[0]).unwrap()),
                 }
                 assert_eq!(
@@ -525,7 +571,6 @@ fn forward_saturation_base_is_built_once_per_session() {
                     "{threads} threads, {order:?}: after {step}"
                 );
             }
-            assert_eq!(slicer.reachable_builds(), 1);
             let base = slicer.saturation_base(Direction::Forward).expect("built");
             assert_eq!(base.direction(), Some(Direction::Forward));
             assert!(base.transition_count() > 0);
@@ -533,9 +578,8 @@ fn forward_saturation_base_is_built_once_per_session() {
             assert!(base.stats().rule_applications > 0);
         }
 
-        // Backward use with configuration criteria needs no reachable
-        // automaton, so it builds no forward base; the first all-contexts
-        // criterion builds it.
+        // Backward use builds no forward base, with configuration
+        // criteria or all-contexts ones.
         let slicer = Slicer::from_source_with(prog.source, config).unwrap();
         let main = slicer.sdg().proc(slicer.sdg().main);
         let configs: Vec<Criterion> = slicer
@@ -553,14 +597,14 @@ fn forward_saturation_base_is_built_once_per_session() {
         slicer.slice_batch(&configs).unwrap();
         slicer.specialize_program(&configs).unwrap();
         assert_eq!(builds(&slicer), [1, 0], "{threads} threads");
-        assert_eq!(slicer.reachable_builds(), 0);
         slicer.slice(&per_printf_criteria(&slicer)[0]).unwrap();
-        assert_eq!(builds(&slicer), [1, 1], "{threads} threads");
+        slicer.slice_batch(&per_printf_criteria(&slicer)).unwrap();
+        assert_eq!(builds(&slicer), [1, 0], "{threads} threads");
     }
 
     // `apply_edit` drops the base; memo hits do not rebuild it, and the
     // first forward miss does — with answers identical to a fresh
-    // session's. Configuration criteria keep the reachable automaton out.
+    // session's.
     const SRC: &str = r#"
         int g, h;
         void live(int a) { g = a; }
