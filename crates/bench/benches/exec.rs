@@ -53,10 +53,8 @@ fn samples() -> usize {
 
 fn config() -> SlicerConfig {
     SlicerConfig {
-        collect_stats: false,
         memoize: false,
         num_threads: 1,
-        ..SlicerConfig::default()
     }
 }
 

@@ -42,7 +42,6 @@ fn samples() -> usize {
 
 fn config() -> SlicerConfig {
     SlicerConfig {
-        collect_stats: false,
         num_threads: 1,
         ..SlicerConfig::default()
     }

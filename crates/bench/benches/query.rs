@@ -81,10 +81,8 @@ fn samples() -> usize {
 /// worker — the measurement isolates the per-criterion query pipeline.
 fn config() -> SlicerConfig {
     SlicerConfig {
-        collect_stats: false,
         memoize: false,
         num_threads: 1,
-        ..SlicerConfig::default()
     }
 }
 

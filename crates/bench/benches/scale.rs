@@ -93,10 +93,8 @@ fn tiers() -> Vec<Tier> {
 /// Sequential, memo-off session config: the counter-measurement path.
 fn config() -> SlicerConfig {
     SlicerConfig {
-        collect_stats: false,
         memoize: false,
         num_threads: 1,
-        ..SlicerConfig::default()
     }
 }
 

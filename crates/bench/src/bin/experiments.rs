@@ -10,7 +10,7 @@
 //! reproduction target (see EXPERIMENTS.md).
 
 use specslice::exec::{self, ExecRequest};
-use specslice::{Criterion, Slicer};
+use specslice::{Criterion, Slicer, SlicerConfig};
 use specslice_bench::{geometric_mean, loc, slice_program, std_dev, SliceRecord};
 use std::collections::BTreeMap;
 
@@ -199,20 +199,30 @@ fn corpus_records() -> (Vec<Fig17Row>, Vec<SliceRecord>) {
         );
     }
     let progs = specslice_corpus::programs();
-    let per_program = pool.map(&progs, |_, prog| {
-        let slicer = Slicer::from_source(prog.source).unwrap();
-        let recs = slice_program(prog.name, &slicer);
-        let sdg = slicer.sdg();
-        let row = Fig17Row {
-            name: prog.name,
-            loc: loc(prog.source),
-            procs: sdg.procs.len(),
-            vertices: sdg.vertex_count(),
-            call_sites: sdg.call_sites.len(),
-            slices: recs.len(),
-        };
-        (row, recs)
-    });
+    // `slice_program` times repeated queries, so the sessions must not
+    // memoize.
+    let config = SlicerConfig {
+        memoize: false,
+        ..SlicerConfig::default()
+    };
+    let (per_program, _) = pool.map(
+        &progs,
+        || (),
+        |(), _, prog| {
+            let slicer = Slicer::from_source_with(prog.source, config).unwrap();
+            let recs = slice_program(prog.name, &slicer);
+            let sdg = slicer.sdg();
+            let row = Fig17Row {
+                name: prog.name,
+                loc: loc(prog.source),
+                procs: sdg.procs.len(),
+                vertices: sdg.vertex_count(),
+                call_sites: sdg.call_sites.len(),
+                slices: recs.len(),
+            };
+            (row, recs)
+        },
+    );
     let mut rows = Vec::new();
     let mut records = Vec::new();
     for (row, recs) in per_program {
@@ -230,10 +240,15 @@ fn corpus_records() -> (Vec<Fig17Row>, Vec<SliceRecord>) {
         ("pk4", specslice_corpus::pk_family(4)),
         ("pk5", specslice_corpus::pk_family(5)),
     ];
-    for recs in pool.map(&extra, |_, (name, src)| {
-        let slicer = Slicer::from_source(src).unwrap();
-        slice_program(name, &slicer)
-    }) {
+    let (extra_records, _) = pool.map(
+        &extra,
+        || (),
+        |(), _, (name, src)| {
+            let slicer = Slicer::from_source_with(src, config).unwrap();
+            slice_program(name, &slicer)
+        },
+    );
+    for recs in extra_records {
         records.extend(recs);
     }
     (rows, records)

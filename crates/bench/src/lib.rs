@@ -35,12 +35,15 @@ pub struct SliceRecord {
     pub variant_counts: Vec<usize>,
     /// Per-variant (original-PDG size, variant size, mono in-proc size).
     pub scatter: Vec<(usize, usize, usize)>,
-    /// Wall-clock of the monovariant algorithm, including the summary
-    /// edges it derives from the SDG (the session's SDG carries none).
+    /// Wall-clock of the monovariant algorithm over the program's summary
+    /// relation (derived once per program, outside the timed region);
+    /// median of [`TIMING_REPS`] runs.
     pub mono_time: Duration,
-    /// Wall-clock of one session query (criterion → slice, cached encoding).
+    /// Wall-clock of one session query (criterion → slice, cached encoding);
+    /// median of [`TIMING_REPS`] recomputed queries.
     pub poly_time: Duration,
-    /// Wall-clock of the PDS + FSA portion alone (Prestar + MRD).
+    /// Wall-clock of the PDS + FSA portion alone (Prestar + MRD); median of
+    /// [`TIMING_REPS`] runs.
     pub automata_time: Duration,
     /// Peak bytes of PDS/FSA structures (Fig. 22's column 6 analogue).
     pub automata_bytes: usize,
@@ -57,9 +60,31 @@ pub struct SliceRecord {
     pub slice: SpecSlice,
 }
 
+/// How many times [`slice_program`] runs each timed stage; it records the
+/// median, so one scheduler hiccup does not move a figure.
+pub const TIMING_REPS: usize = 5;
+
+/// The median wall-clock of [`TIMING_REPS`] runs of `stage`.
+fn median_time(mut stage: impl FnMut()) -> Duration {
+    let mut times: Vec<Duration> = (0..TIMING_REPS)
+        .map(|_| {
+            let t = Instant::now();
+            stage();
+            t.elapsed()
+        })
+        .collect();
+    times.sort_unstable();
+    times[TIMING_REPS / 2]
+}
+
 /// Runs all per-printf slices of one program through its session,
-/// collecting records.
+/// collecting records. The session must not memoize, so every repetition
+/// of the timed poly query recomputes its answer.
 pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
+    assert!(
+        !slicer.config().memoize,
+        "slice_program times repeated queries: the session must not memoize"
+    );
     let sdg = slicer.sdg();
     let mut out = Vec::new();
     let printf_sites: Vec<_> = sdg.printf_call_sites().cloned().collect();
@@ -70,37 +95,49 @@ pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
     for site in printf_sites {
         let cv: Vec<VertexId> = site.actual_ins.clone();
 
-        let t0 = Instant::now();
-        let mono = monovariant_executable_slice_with(sdg, &summaries, &cv);
-        let mono_time = t0.elapsed();
+        let mut mono = None;
+        let mono_time = median_time(|| {
+            mono = Some(monovariant_executable_slice_with(sdg, &summaries, &cv));
+        });
+        let mono = mono.expect("timed at least once");
 
         // Polyvariant query against the cached session encoding. Timing
         // comes from the pipeline's own accounting ([`PipelineStats`]), so
         // every driver reports the same measurement.
         let criterion = Criterion::AllContexts(cv.clone());
-        let (slice, stats) = slicer.slice_with_stats(&criterion).expect("criterion");
-        let poly_time = stats.query_time;
+        let mut query_times = Vec::with_capacity(TIMING_REPS);
+        let mut answer = None;
+        for _ in 0..TIMING_REPS {
+            let (slice, stats) = slicer.slice_with_stats(&criterion).expect("criterion");
+            query_times.push(stats.query_time);
+            answer = Some((slice, stats));
+        }
+        query_times.sort_unstable();
+        let poly_time = query_times[TIMING_REPS / 2];
+        let (slice, stats) = answer.expect("queried at least once");
 
         // Phase-level timing of the automaton stages alone (re-run against
         // the same cached encoding; the paper's Fig. 21 column 6).
         let enc = slicer.encoding();
         let query = criteria::query_automaton(sdg, enc, &criterion).expect("criterion");
-        let ta = Instant::now();
-        let mut sat = SaturationScratch::default();
         let base = slicer
             .saturation_base(Direction::Backward)
             .unwrap_or(SaturationBase::empty());
-        let (a1, _) = saturate_a1_with_stats(
-            Direction::Backward,
-            &enc.index,
-            base,
-            &query,
-            MAIN_CONTROL,
-            &mut sat,
-        )
-        .expect("well-formed query");
-        let (a6, _) = mrd_of_transposed(a1);
-        let automata_time = ta.elapsed();
+        let mut a6 = None;
+        let automata_time = median_time(|| {
+            let mut sat = SaturationScratch::default();
+            let (a1, _) = saturate_a1_with_stats(
+                Direction::Backward,
+                &enc.index,
+                base,
+                &query,
+                MAIN_CONTROL,
+                &mut sat,
+            )
+            .expect("well-formed query");
+            a6 = Some(mrd_of_transposed(a1).0);
+        });
+        let a6 = a6.expect("timed at least once");
 
         let closure = backward_closure_slice_with(sdg, &summaries, &cv);
         let mut per_proc = std::collections::BTreeMap::new();

@@ -14,9 +14,8 @@
 //!
 //! Build an [`ExecRequest`] (named budget defaults replace the magic fuel
 //! numbers that used to be scattered around), then either pick a backend
-//! explicitly or let [`run`] dispatch to the process default, selected by
-//! `SPECSLICE_EXEC_BACKEND=interp|vm` (strict parsing, interpreter
-//! fallback; see [`parse_backend`] / [`configured_backend`]):
+//! explicitly with [`backend`] or call [`run`], which runs the reference
+//! interpreter:
 //!
 //! ```
 //! use specslice::exec::{self, ExecRequest};
@@ -33,7 +32,6 @@
 //! output.
 
 pub use specslice_interp::{
-    configured_backend, parse_backend, BackendConfigError, BackendKind, ExecBackend, ExecError,
-    ExecOutcome, ExecRequest, Interp,
+    exec as run, BackendKind, ExecBackend, ExecError, ExecOutcome, ExecRequest, Interp,
 };
-pub use specslice_vm::{backend, default_backend, run, Module, Vm, VmStats};
+pub use specslice_vm::{backend, Module, Vm, VmStats};

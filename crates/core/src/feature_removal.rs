@@ -88,7 +88,6 @@ pub fn remove_feature_reusing(
         sdg,
         enc,
         &a6,
-        true,
         readout::QueryKind::Residual,
         &mut readout::ReadoutScratch::default(),
         store,

@@ -240,7 +240,6 @@ impl Slicer {
                         &patch.sdg,
                         &enc,
                         &a6,
-                        self.config.validate,
                         key.dir.into(),
                         &mut scratch,
                         &staging,

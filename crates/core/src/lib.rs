@@ -251,7 +251,7 @@ pub fn specialize(sdg: &Sdg, criterion: &Criterion) -> Result<SpecSlice, SpecErr
     let enc = encode::encode_sdg(sdg);
     let query = criteria::query_automaton(sdg, &enc, criterion)?;
     let store = std::sync::Arc::new(VariantStore::new());
-    slicer::run_query(Direction::Backward, sdg, &enc, &query, true, &store).map(|(s, _)| s)
+    slicer::run_query(Direction::Backward, sdg, &enc, &query, &store).map(|(s, _)| s)
 }
 
 /// Sizes (and wall-clock) observed along the Alg. 1 pipeline.

@@ -412,38 +412,39 @@ impl ReadoutScratch {
 /// content is interned into a fresh private store. Sessions intern into
 /// their shared store instead ([`crate::Slicer`]).
 pub fn read_out(sdg: &Sdg, enc: &Encoded, a6: &Nfa) -> Result<SpecSlice, SpecError> {
-    read_out_with(sdg, enc, a6, true)
-}
-
-/// [`read_out`] with the Cor. 3.19 validation made optional
-/// (see [`crate::SlicerConfig::validate`]).
-pub fn read_out_with(
-    sdg: &Sdg,
-    enc: &Encoded,
-    a6: &Nfa,
-    validate: bool,
-) -> Result<SpecSlice, SpecError> {
     read_out_in(
         sdg,
         enc,
         a6,
-        validate,
         QueryKind::Backward,
         &mut ReadoutScratch::default(),
         &Arc::new(VariantStore::new()),
     )
 }
 
-/// [`read_out_with`] against caller-owned scratch buffers, an explicit
-/// target store, and an explicit query kind. The kind selects the
-/// validation applied (see [`QueryKind`]): full Cor. 3.19 equality for
+/// [`read_out`] with an ignored `validate` argument: the Cor. 3.19 audit
+/// always runs. Kept only because the perfbench harness
+/// (`perfbench/src/trace.rs`) calls it; ROADMAP item 1's benchmark change
+/// deletes it.
+#[doc(hidden)]
+pub fn read_out_with(
+    sdg: &Sdg,
+    enc: &Encoded,
+    a6: &Nfa,
+    _validate: bool,
+) -> Result<SpecSlice, SpecError> {
+    read_out(sdg, enc, a6)
+}
+
+/// [`read_out`] against caller-owned scratch buffers, an explicit target
+/// store, and an explicit query kind. The kind selects the validation
+/// applied (see [`QueryKind`]): full Cor. 3.19 equality for
 /// backward/residual slices, the one-directional `post*` closure
 /// implications for forward slices, and none for chops.
 pub(crate) fn read_out_in(
     sdg: &Sdg,
     enc: &Encoded,
     a6: &Nfa,
-    validate: bool,
     kind: QueryKind,
     scratch: &mut ReadoutScratch,
     store: &Arc<VariantStore>,
@@ -650,7 +651,7 @@ pub(crate) fn read_out_in(
         }
     }
 
-    if validate && kind != QueryKind::Chop {
+    if kind != QueryKind::Chop {
         validate_no_mismatches(sdg, kind, scratch, &metas)?;
     }
     Ok(SpecSlice::from_parts(

@@ -95,7 +95,6 @@ pub fn reslice_check_reusing(
         &sdg_r,
         &enc_r,
         &query_r,
-        true,
         &store_r,
     )?;
     // Map any leftover symbols to a fresh sink symbol so relabel is total.

@@ -13,17 +13,19 @@
 //! (see [`crate::criteria`]), so no `post*` automaton is cached for it.
 //!
 //! The criterion-dependent stages are *independent* across criteria and
-//! touch the session state read-only, so [`Slicer::slice_batch`] fans a
-//! batch out over a [`specslice_exec::Pool`] of worker threads (see
-//! [`SlicerConfig::num_threads`]). Each worker owns a private
-//! `QueryScratch` — the saturation rows/worklists and read-out tables of
-//! the whole criterion-dependent pipeline, plus a private [`VariantStore`]
-//! shard its read-outs intern into; the shared `Sdg`, PDS encoding (with
-//! its prebuilt rule index), and saturation bases are borrowed immutably by
-//! all workers. Results are assembled in input order
-//! and *adopted* into the session's variant store in that order, so batch
-//! output — including the store's interned ids and dedup counters — is
-//! bit-for-bit identical at every thread count.
+//! touch the session state read-only, so every batch entry point maps its
+//! distinct criteria over one [`specslice_exec::Pool`] call (see
+//! [`SlicerConfig::num_threads`]). Each worker checks a `QueryScratch` —
+//! the saturation rows/worklists and read-out tables of the whole
+//! criterion-dependent pipeline — out of the session's scratch pool and
+//! returns it afterwards. A parallel batch's workers intern into fresh
+//! private [`VariantStore`] shards; a one-worker batch interns straight
+//! into the session store. The shared `Sdg`, PDS encoding (with its
+//! prebuilt rule index), and saturation bases are borrowed immutably by
+//! all workers. Results are assembled in input order and *adopted* into
+//! the session's variant store in that order, so batch output — including
+//! the store's interned ids and dedup counters — is bit-for-bit identical
+//! at every thread count.
 
 use crate::criteria::{self, Criterion};
 use crate::encode::{self, Encoded, MAIN_CONTROL};
@@ -49,29 +51,20 @@ use std::time::Instant;
 
 /// Options for a [`Slicer`] session.
 ///
-/// Options live here — not in per-call `_with_stats` / `_unchecked`
-/// function variants — so the call surface stays stable as knobs accrete.
+/// Every read-out slice is audited against the paper's Cor. 3.19
+/// no-parameter-mismatch property, and every batch reports per-criterion
+/// [`PipelineStats`]; neither is optional.
 #[derive(Clone, Copy, Debug)]
 pub struct SlicerConfig {
-    /// Validate every read-out slice against the paper's Cor. 3.19
-    /// no-parameter-mismatch property (cheap; on by default). Turning it off
-    /// skips the post-hoc audit, not any part of the algorithm itself.
-    pub validate: bool,
-    /// Retain per-criterion [`PipelineStats`] in
-    /// [`BatchResult::per_criterion`]. Off keeps batch results lean on large
-    /// workloads; the (cheap, counter-read) aggregate is always computed,
-    /// and [`Slicer::slice_with_stats`] always returns stats.
-    pub collect_stats: bool,
-    /// Worker threads used by [`Slicer::slice_batch`] (and
-    /// [`Slicer::slice_batch_results`]). Defaults to the machine's available
-    /// parallelism, overridable for sweeps via the `SPECSLICE_NUM_THREADS`
-    /// environment variable (see [`specslice_exec::default_threads`]);
-    /// `1` answers the batch sequentially on the calling
-    /// thread, exactly as single-criterion [`Slicer::slice`] calls would
-    /// (`0` is clamped to `1` at session construction, so a session's
-    /// effective width is always at least one worker). Results are
-    /// bit-for-bit identical at every setting — the knob only trades
-    /// wall-clock for cores.
+    /// Worker threads used by the batch entry points
+    /// ([`Slicer::slice_batch`], [`Slicer::forward_slice_batch`],
+    /// [`Slicer::slice_batch_results`], [`Slicer::specialize_program`]).
+    /// Defaults to the machine's available parallelism; `1` answers the
+    /// batch on the calling thread, exactly as single-criterion
+    /// [`Slicer::slice`] calls would (`0` is clamped to `1` at session
+    /// construction, so a session's effective width is always at least one
+    /// worker). Results are bit-for-bit identical at every setting — the
+    /// knob only trades wall-clock for cores.
     pub num_threads: usize,
     /// Memoize criterion → slice results across calls (on by default). A
     /// criterion repeated in a later call — another query, another batch,
@@ -93,9 +86,7 @@ pub struct SlicerConfig {
 impl Default for SlicerConfig {
     fn default() -> Self {
         SlicerConfig {
-            validate: true,
-            collect_stats: true,
-            num_threads: specslice_exec::default_threads(),
+            num_threads: specslice_exec::available_parallelism(),
             memoize: true,
         }
     }
@@ -107,7 +98,7 @@ impl Default for SlicerConfig {
 pub struct BatchResult {
     /// One specialization slice per input criterion, in order.
     pub slices: Vec<SpecSlice>,
-    /// Per-criterion pipeline stats (empty when stats collection is off).
+    /// Per-criterion pipeline stats, in input order.
     pub per_criterion: Vec<PipelineStats>,
     /// Aggregate over `per_criterion` ([`PipelineStats::absorb`] semantics:
     /// sums of per-query sizes, shared-encoding sizes kept once).
@@ -115,7 +106,7 @@ pub struct BatchResult {
     /// Per-worker-thread execution accounting for this batch: how many
     /// distinct criteria each worker answered (duplicates fanned out at the
     /// batch entry are not worker items), how many it stole, and how long
-    /// it was busy. One entry per worker that ran (a sequential batch has
+    /// it was busy. One entry per worker that ran (a one-worker batch has
     /// one).
     pub per_thread: Vec<WorkerStats>,
 }
@@ -138,8 +129,8 @@ pub struct Slicer {
     pub(crate) enc: Encoded,
     pub(crate) config: SlicerConfig,
     /// The session variant store: every slice this session returns interns
-    /// its variant content here (batch workers intern into private shards
-    /// first; results are re-interned in input order).
+    /// its variant content here (parallel batch workers intern into private
+    /// shards first; results are re-interned in input order).
     pub(crate) store: Arc<VariantStore>,
     /// One saturation base per direction, indexed by [`dir_slot`]: the
     /// criterion-independent part of every saturation in that direction,
@@ -157,9 +148,9 @@ pub struct Slicer {
     /// rewrites it wholesale under `&mut self`.
     pub(crate) memo: RwLock<HashMap<MemoKey, MemoEntry>>,
     memo_hits: AtomicUsize,
-    /// Warm [`QueryScratch`]es recycled across calls: sequential batches
-    /// (and single-criterion queries) check one out and return it, so a
-    /// session answering many small batches — the server's steady state —
+    /// Warm [`QueryScratch`]es recycled across calls: every batch worker
+    /// (and every single-criterion query) checks one out and returns it, so
+    /// a session answering many small batches — the server's steady state —
     /// pays the table-growth warm-up once, not per call.
     scratch_pool: Mutex<Vec<QueryScratch>>,
 }
@@ -295,33 +286,32 @@ pub(crate) struct Answer {
     from_memo: bool,
 }
 
-/// One outcome per batch criterion, in input order.
-type RawBatch = Vec<Result<Answer, SpecError>>;
+/// One batch criterion's adopted answer or error.
+type Adopted = Result<(SpecSlice, PipelineStats), SpecError>;
+
+/// A batch worker's answer: adopted on the spot by a one-worker batch,
+/// left for in-order adoption after the map by a parallel one.
+enum Pending {
+    Raw(Answer),
+    Adopted((SpecSlice, PipelineStats)),
+}
 
 /// The per-worker working memory of the criterion-dependent pipeline:
-/// saturation rows/worklists, read-out tables, and a private
-/// [`VariantStore`] shard the worker's read-outs intern into. One
-/// `QueryScratch` is allocated per worker thread (or per sequential loop)
-/// and reset — not reallocated — between criteria, so the hot loop runs
-/// against warm buffers and never contends on the global allocator (or the
-/// session store's lock) for its working set.
-#[derive(Debug)]
+/// saturation rows/worklists and read-out tables. Checked out of the
+/// session's scratch pool per query or per batch worker and reset — not
+/// reallocated — between criteria, so the hot loop runs against warm
+/// buffers and never contends on the global allocator for its working set.
+#[derive(Debug, Default)]
 pub(crate) struct QueryScratch {
     /// `Prestar` saturation buffers (dense rows, worklist, pending table).
     pub(crate) sat: SaturationScratch,
     /// Read-out stage tables.
     pub(crate) readout: ReadoutScratch,
-    /// The worker's private intern shard. Slices produced against it are
-    /// re-interned into the session store when the batch is adopted, in
-    /// input order — which is what makes session ids thread-count-
-    /// independent.
-    pub(crate) shard: Arc<VariantStore>,
 }
 
 impl QueryScratch {
     /// Retained capacity estimate of one pooled scratch (saturation
-    /// buffers + read-out tables; the intern shard is counted by the
-    /// session store it re-interns into).
+    /// buffers + read-out tables).
     pub(crate) fn approx_bytes(&self) -> usize {
         self.sat.approx_bytes() + self.readout.approx_bytes()
     }
@@ -336,16 +326,6 @@ pub struct ScratchStats {
     pub approx_bytes: usize,
     /// Peak live bump-arena bytes across the pooled scratches.
     pub arena_high_water: usize,
-}
-
-impl Default for QueryScratch {
-    fn default() -> Self {
-        QueryScratch {
-            sat: SaturationScratch::default(),
-            readout: ReadoutScratch::default(),
-            shard: Arc::new(VariantStore::new()),
-        }
-    }
 }
 
 /// The session is shared immutably across batch worker threads.
@@ -495,8 +475,7 @@ impl Slicer {
     }
 
     /// Returns a scratch to the session pool. The pool is bounded by the
-    /// configured worker count — enough for every concurrent caller of the
-    /// sequential paths a session realistically sees.
+    /// configured worker count — one per batch worker.
     fn put_scratch(&self, scratch: QueryScratch) {
         if let Ok(mut pool) = self.scratch_pool.lock() {
             if pool.len() < self.config.num_threads.max(1) {
@@ -569,7 +548,7 @@ impl Slicer {
 
     /// The full criterion-dependent pipeline for one criterion, against
     /// caller-owned query scratch (one per batch worker). Read-out interns
-    /// into `store` — the session store on direct paths, the worker's
+    /// into `store` — the session store on one-worker paths, the worker's
     /// private shard inside parallel batches.
     fn answer_in(
         &self,
@@ -599,7 +578,6 @@ impl Slicer {
             &self.enc,
             self.base_for(dir),
             &query,
-            self.config.validate,
             scratch,
             store,
         )?;
@@ -706,8 +684,7 @@ impl Slicer {
     }
 
     /// [`slice`](Slicer::slice) plus the automaton statistics the paper's
-    /// evaluation reports (always collected, regardless of
-    /// [`SlicerConfig::collect_stats`]).
+    /// evaluation reports.
     pub fn slice_with_stats(
         &self,
         criterion: &Criterion,
@@ -765,18 +742,85 @@ impl Slicer {
         }
     }
 
-    /// Answers every criterion across the session's worker pool, each
-    /// criterion an independent pool item, returning raw per-criterion
-    /// results in input order plus per-worker accounting.
-    fn batch_raw(&self, dir: Direction, criteria: &[Criterion]) -> (RawBatch, Vec<WorkerStats>) {
+    /// Answers each of `criteria` (distinct by construction) through one
+    /// [`Pool`] call and adopts the answers in input order, returning them
+    /// with per-worker accounting.
+    ///
+    /// Each worker checks a scratch out of the session pool and returns it
+    /// afterwards. A parallel batch's workers intern into fresh private
+    /// shards, and their answers are adopted (re-interned) in input order
+    /// after the map; a one-worker batch runs on the calling thread,
+    /// interns straight into the session store and adopts each answer as
+    /// it is computed.
+    ///
+    /// With `fail_fast`, a failure at index `j` lowers a shared cutoff that
+    /// every worker checks before each item, so no item after `j` starts
+    /// once it is seen — at one worker, nothing after the first failure
+    /// runs. Every item before the lowest failure still runs, so the result
+    /// ends at that failure, the same one at every width.
+    fn answer_all(
+        &self,
+        dir: Direction,
+        criteria: &[Criterion],
+        fail_fast: bool,
+    ) -> (Vec<Adopted>, Vec<WorkerStats>) {
         let pool = Pool::new(self.config.num_threads);
-        if pool.threads() > 1 {
+        let parallel = pool.threads().min(criteria.len()) > 1;
+        if parallel {
             self.warm_base_for(dir, criteria);
         }
-        pool.map_init_stats(criteria, QueryScratch::default, |scratch, _, criterion| {
-            let shard = scratch.shard.clone();
-            self.answer_in(dir, criterion, scratch, &shard)
-        })
+        let cutoff = AtomicUsize::new(usize::MAX);
+        let (raw, workers) = pool.map(
+            criteria,
+            || {
+                let store = if parallel {
+                    Arc::new(VariantStore::new())
+                } else {
+                    self.store.clone()
+                };
+                (self.take_scratch(), store)
+            },
+            |(scratch, store), i, criterion| {
+                if i > cutoff.load(Ordering::Relaxed) {
+                    return None;
+                }
+                // On the calling thread, adoption happens as each answer
+                // is computed, which is already input order.
+                let answer = self
+                    .answer_in(dir, criterion, scratch, store)
+                    .map(|answer| {
+                        if parallel {
+                            Pending::Raw(answer)
+                        } else {
+                            Pending::Adopted(self.adopt(answer))
+                        }
+                    });
+                if fail_fast && answer.is_err() {
+                    cutoff.fetch_min(i, Ordering::Relaxed);
+                }
+                Some(answer)
+            },
+        );
+        let per_thread = workers
+            .into_iter()
+            .map(|((scratch, _), stats)| {
+                self.put_scratch(scratch);
+                stats
+            })
+            .collect();
+        let mut answers = Vec::with_capacity(raw.len());
+        // Only items after the lowest failure are skipped.
+        for answer in raw.into_iter().map_while(|answer| answer) {
+            let failed = answer.is_err();
+            answers.push(answer.map(|pending| match pending {
+                Pending::Raw(answer) => self.adopt(answer),
+                Pending::Adopted(adopted) => adopted,
+            }));
+            if failed && fail_fast {
+                break;
+            }
+        }
+        (answers, per_thread)
     }
 
     /// Slices every criterion in `criteria`, sharing the per-program work
@@ -787,9 +831,9 @@ impl Slicer {
     /// element `i` is identical to what `slice(&criteria[i])` returns, at
     /// every thread count. On failure the *lowest-indexed* failing criterion
     /// is reported (identified by index in the message), so errors are
-    /// deterministic too: a sequential batch stops at the first failure,
-    /// while a parallel batch answers everything in flight and then reports
-    /// the same lowest-indexed error. Use
+    /// deterministic too: no criterion after a seen failure starts (at one
+    /// worker, nothing after the first failure runs), and the error
+    /// reported is the same lowest-indexed one at every width. Use
     /// [`slice_batch_results`](Slicer::slice_batch_results) to keep the
     /// other criteria's answers when a batch may contain bad criteria.
     ///
@@ -845,74 +889,26 @@ impl Slicer {
         criteria: &[Criterion],
     ) -> Result<BatchResult, SpecError> {
         let distinct = Distinct::of(dir, criteria);
-        let unique = distinct.criteria(criteria);
-        let (answers, per_thread) = if self.config.num_threads.min(unique.len()) <= 1 {
-            // Sequential fast path with genuine fail-fast: nothing after the
-            // first failing criterion runs. The parallel path must answer
-            // everything already in flight, but converges on the same
-            // lowest-indexed error, so the two paths are indistinguishable
-            // to the caller (modulo counters on error). The lowest-indexed
-            // failure is always a first occurrence, so deduplication does
-            // not move it.
-            let start = Instant::now();
-            let answers = self
-                .slice_batch_sequential(dir, &unique)
-                .map_err(|(j, e)| annotate_with_index(e, distinct.reps[j]))?;
-            let worker = WorkerStats {
-                worker: 0,
-                items: unique.len(),
-                steals: 0,
-                busy: start.elapsed(),
-            };
-            (answers, vec![worker])
-        } else {
-            let (results, per_thread) = self.batch_raw(dir, &unique);
-            let mut answers = Vec::with_capacity(results.len());
-            for (j, result) in results.into_iter().enumerate() {
-                let answer = result.map_err(|e| annotate_with_index(e, distinct.reps[j]))?;
-                answers.push(self.adopt(answer));
-            }
-            (answers, per_thread)
-        };
-        let mut per_criterion = Vec::new();
+        let (answers, per_thread) = self.answer_all(dir, &distinct.criteria(criteria), true);
+        // The lowest-indexed failure is always a first occurrence, so
+        // deduplication does not move it.
+        let answers = answers
+            .into_iter()
+            .enumerate()
+            .map(|(j, answer)| answer.map_err(|e| annotate_with_index(e, distinct.reps[j])))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut aggregate = PipelineStats::default();
-        let slices = distinct
+        let (slices, per_criterion) = distinct
             .fan_out(answers, |answer| self.duplicate(dir, answer))
             .into_iter()
-            .map(|(slice, stats)| {
-                aggregate.absorb(&stats);
-                if self.config.collect_stats {
-                    per_criterion.push(stats);
-                }
-                slice
-            })
-            .collect();
+            .inspect(|(_, stats)| aggregate.absorb(stats))
+            .unzip();
         Ok(BatchResult {
             slices,
             per_criterion,
             aggregate,
             per_thread,
         })
-    }
-
-    /// The sequential body of [`directed_batch`](Slicer::directed_batch):
-    /// one warm scratch, one pass,
-    /// stop at the first error (returned with its position in `criteria`).
-    fn slice_batch_sequential(
-        &self,
-        dir: Direction,
-        criteria: &[Criterion],
-    ) -> Result<Vec<(SpecSlice, PipelineStats)>, (usize, SpecError)> {
-        let mut scratch = self.take_scratch();
-        let mut answers = Vec::with_capacity(criteria.len());
-        for (j, criterion) in criteria.iter().enumerate() {
-            let answer = self
-                .answer_in(dir, criterion, &mut scratch, &self.store)
-                .map_err(|e| (j, e))?;
-            answers.push(self.adopt(answer));
-        }
-        self.put_scratch(scratch);
-        Ok(answers)
     }
 
     /// [`slice_batch`](Slicer::slice_batch) without the fail-fast contract:
@@ -924,11 +920,7 @@ impl Slicer {
     pub fn slice_batch_results(&self, criteria: &[Criterion]) -> Vec<Result<SpecSlice, SpecError>> {
         let dir = Direction::Backward;
         let distinct = Distinct::of(dir, criteria);
-        let (results, _) = self.batch_raw(dir, &distinct.criteria(criteria));
-        let answers = results
-            .into_iter()
-            .map(|r| r.map(|answer| self.adopt(answer)))
-            .collect();
+        let (answers, _) = self.answer_all(dir, &distinct.criteria(criteria), false);
         distinct
             .fan_out(answers, |answer| {
                 answer
@@ -979,7 +971,6 @@ impl Slicer {
             &self.sdg,
             &self.enc,
             &a6,
-            self.config.validate,
             QueryKind::Chop,
             &mut scratch.readout,
             &self.store,
@@ -1193,7 +1184,6 @@ pub(crate) fn run_query(
     sdg: &Sdg,
     enc: &Encoded,
     query: &PAutomaton,
-    validate: bool,
     store: &Arc<VariantStore>,
 ) -> Result<(SpecSlice, PipelineStats), SpecError> {
     // `query_time` stays zero here: its contract includes query-automaton
@@ -1205,7 +1195,6 @@ pub(crate) fn run_query(
         enc,
         SaturationBase::empty(),
         query,
-        validate,
         &mut QueryScratch::default(),
         store,
     )
@@ -1215,14 +1204,12 @@ pub(crate) fn run_query(
 /// hot loop reuses its saturation rows and read-out tables across criteria,
 /// and against a saturation base (the session's base of `dir`, so the
 /// query only saturates its own overlay).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_query_in(
     dir: Direction,
     sdg: &Sdg,
     enc: &Encoded,
     base: &SaturationBase,
     query: &PAutomaton,
-    validate: bool,
     scratch: &mut QueryScratch,
     store: &Arc<VariantStore>,
 ) -> Result<(SpecSlice, PipelineStats), SpecError> {
@@ -1231,15 +1218,7 @@ pub(crate) fn run_query_in(
             .map_err(|e| SpecError::pds(dir_stage(dir), e))?;
     let (a1_states, a1_transitions) = (a1.state_count(), a1.transition_count());
     let (a6, mrd_stats) = mrd_of_transposed(a1);
-    let slice = readout::read_out_in(
-        sdg,
-        enc,
-        &a6,
-        validate,
-        dir.into(),
-        &mut scratch.readout,
-        store,
-    )?;
+    let slice = readout::read_out_in(sdg, enc, &a6, dir.into(), &mut scratch.readout, store)?;
     let stats = PipelineStats {
         pds_rules: enc.pds.rule_count(),
         saturation_transitions: satstats.transitions,
@@ -1275,7 +1254,6 @@ mod tests {
             SlicerConfig {
                 num_threads: 1,
                 memoize: true,
-                ..SlicerConfig::default()
             },
         )
         .unwrap();

@@ -86,9 +86,8 @@ impl SpecializedProgram {
         self.functions.len()
     }
 
-    /// Runs the merged program on `input` through the process-default
-    /// execution backend (`SPECSLICE_EXEC_BACKEND`, interpreter fallback)
-    /// with the default budgets — the one-call way to validate that a
+    /// Runs the merged program on `input` through the reference interpreter
+    /// ([`crate::exec::run`]) with the default budgets — the one-call way to validate that a
     /// specialization agrees with its original on the criterion.
     ///
     /// For custom budgets or an explicit backend, build a

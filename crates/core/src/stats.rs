@@ -24,6 +24,14 @@ pub struct SliceStats {
     /// Per-variant `(proc, |variant|, |proc's vertices in closure slice|)` —
     /// the Fig. 20 scatter series.
     pub per_variant_sizes: Vec<(ProcId, usize, usize)>,
+    /// Covered vertices outside the closure slice. The paper's element-level
+    /// soundness property says specialization slices never contain any, so
+    /// a non-empty set is a bug.
+    pub outside_closure: BTreeSet<VertexId>,
+    /// Closure-slice vertices no variant covers. Empty for all-contexts
+    /// criteria (element-level completeness); a configuration criterion
+    /// may leave some out.
+    pub closure_not_covered: BTreeSet<VertexId>,
 }
 
 impl SliceStats {
@@ -82,29 +90,7 @@ pub fn slice_stats(sdg: &Sdg, slice: &SpecSlice, criterion_vertices: &[VertexId]
         variant_histogram,
         max_variants,
         per_variant_sizes,
+        outside_closure: elems.difference(&closure).copied().collect(),
+        closure_not_covered: closure.difference(&elems).copied().collect(),
     }
-}
-
-/// Checks the element-level soundness property the paper highlights:
-/// specialization slices never contain vertices outside the closure slice.
-/// Returns the offending vertices (empty = sound).
-pub fn elements_outside_closure(
-    sdg: &Sdg,
-    slice: &SpecSlice,
-    criterion_vertices: &[VertexId],
-) -> BTreeSet<VertexId> {
-    let closure = backward_closure_slice(sdg, criterion_vertices);
-    slice.elems().difference(&closure).copied().collect()
-}
-
-/// Checks element-level completeness for all-contexts criteria: every
-/// closure-slice vertex appears in some variant. Returns missing vertices.
-pub fn closure_not_covered(
-    sdg: &Sdg,
-    slice: &SpecSlice,
-    criterion_vertices: &[VertexId],
-) -> BTreeSet<VertexId> {
-    let closure = backward_closure_slice(sdg, criterion_vertices);
-    let elems = slice.elems();
-    closure.difference(&elems).copied().collect()
 }

@@ -26,8 +26,9 @@
 //!
 //! ```
 //! let pool = specslice_exec::Pool::new(4);
-//! let squares = pool.map(&[1u64, 2, 3, 4, 5], |_, &x| x * x);
+//! let (squares, workers) = pool.map(&[1u64, 2, 3, 4, 5], || (), |(), _, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
+//! assert!(workers.len() <= 4);
 //! ```
 
 use std::collections::VecDeque;
@@ -42,32 +43,19 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// A present-but-invalid `SPECSLICE_NUM_THREADS` value: what was set, why
-/// it was rejected, and the width the process was clamped to instead.
-///
-/// A silently ignored misconfiguration is the worst kind — a CI sweep that
-/// exports `SPECSLICE_NUM_THREADS=O` (the letter) would happily "pass" at
-/// the hardware default. [`configured_threads`] surfaces this as a value;
-/// [`default_threads`] additionally logs it (once per process) and clamps.
+/// A rejected worker-thread count: the value given and why it was
+/// rejected (see [`parse_thread_count`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ThreadConfigError {
     /// The rejected value, verbatim.
     pub value: String,
     /// Why it was rejected.
     pub reason: String,
-    /// The worker width used instead: `1` for a parsed-but-zero value
-    /// (matching `SlicerConfig::num_threads` clamping), the hardware
-    /// default for anything unparsable.
-    pub clamped_to: usize,
 }
 
 impl std::fmt::Display for ThreadConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid SPECSLICE_NUM_THREADS={:?}: {}; clamped to {}",
-            self.value, self.reason, self.clamped_to
-        )
+        write!(f, "invalid thread count {:?}: {}", self.value, self.reason)
     }
 }
 
@@ -77,61 +65,18 @@ impl std::error::Error for ThreadConfigError {}
 /// whitespace tolerated). `0` is rejected — a zero-width pool is always a
 /// configuration mistake, even though downstream layers would clamp it.
 pub fn parse_thread_count(value: &str) -> Result<usize, ThreadConfigError> {
-    match value.trim().parse::<usize>() {
-        Ok(0) => Err(ThreadConfigError {
-            value: value.to_string(),
-            reason: "thread count must be at least 1".to_string(),
-            clamped_to: 1,
-        }),
-        Ok(n) => Ok(n),
-        Err(e) => Err(ThreadConfigError {
-            value: value.to_string(),
-            reason: format!("not a positive integer ({e})"),
-            clamped_to: available_parallelism(),
-        }),
-    }
+    let reason = match value.trim().parse::<usize>() {
+        Ok(0) => "thread count must be at least 1".to_string(),
+        Ok(n) => return Ok(n),
+        Err(e) => format!("not a positive integer ({e})"),
+    };
+    Err(ThreadConfigError {
+        value: value.to_string(),
+        reason,
+    })
 }
 
-/// Reads `SPECSLICE_NUM_THREADS` strictly: `Ok(None)` when unset,
-/// `Ok(Some(n))` for a valid positive integer, and a structured
-/// [`ThreadConfigError`] for a present-but-invalid value (instead of the
-/// silent fallback this function's callers historically applied). Servers
-/// and CLIs should call this once at startup and surface the error.
-pub fn configured_threads() -> Result<Option<usize>, ThreadConfigError> {
-    match std::env::var("SPECSLICE_NUM_THREADS") {
-        Ok(v) => parse_thread_count(&v).map(Some),
-        Err(_) => Ok(None),
-    }
-}
-
-/// The default worker-thread count for slicing sessions: the
-/// `SPECSLICE_NUM_THREADS` environment variable when set to a valid
-/// positive integer, otherwise [`available_parallelism`].
-///
-/// The variable exists for test sweeps and CI: exporting
-/// `SPECSLICE_NUM_THREADS=1|2|4` runs every default-configured session at
-/// that width without touching code (output is bit-for-bit identical at
-/// every setting — the knob only trades wall-clock for cores). Explicitly
-/// configured widths are never overridden.
-///
-/// A present-but-invalid value is **not** silently ignored: the structured
-/// [`ThreadConfigError`] is logged to stderr (once per process) and its
-/// [`clamped_to`](ThreadConfigError::clamped_to) width is used — `1` for
-/// `0`, the hardware default for unparsable text. Callers that want the
-/// error as a value use [`configured_threads`].
-pub fn default_threads() -> usize {
-    match configured_threads() {
-        Ok(Some(n)) => n,
-        Ok(None) => available_parallelism(),
-        Err(e) => {
-            static LOGGED: std::sync::Once = std::sync::Once::new();
-            LOGGED.call_once(|| eprintln!("specslice-exec: {e}"));
-            e.clamped_to
-        }
-    }
-}
-
-/// What one worker did during a [`Pool::map_init_stats`] call — how many
+/// What one worker did during a [`Pool::map`] call — how many
 /// items it answered, how many it had to steal, and how long it was busy.
 /// Exposed so callers (e.g. `specslice`'s batch slicer) can report
 /// per-thread utilization.
@@ -174,40 +119,18 @@ impl Pool {
         self.threads
     }
 
-    /// Applies `f(index, &item)` to every item, in parallel, returning the
-    /// results in input order.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    /// Applies `f(&mut state, index, &item)` to every item, in parallel,
+    /// returning the results in input order plus, for each worker that ran,
+    /// its final state and its [`WorkerStats`].
+    ///
+    /// `init` runs once on each worker thread, and the resulting state is
+    /// passed (mutably) to every item that worker answers. This is how
+    /// callers thread scratch buffers through the hot loop without sharing
+    /// or locking them — and, because the states come back, recycle them
+    /// across calls.
+    pub fn map<S, T, R, I, F>(&self, items: &[T], init: I, f: F) -> (Vec<R>, Vec<(S, WorkerStats)>)
     where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.map_init(items, || (), |(), i, item| f(i, item))
-    }
-
-    /// [`map`](Pool::map) with per-worker state: `init` runs once on each
-    /// worker thread and the resulting value is passed (mutably) to every
-    /// item that worker answers. This is how callers thread scratch buffers
-    /// through the hot loop without sharing or locking them.
-    pub fn map_init<S, T, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
-        self.map_init_stats(items, init, f).0
-    }
-
-    /// [`map_init`](Pool::map_init), also returning one [`WorkerStats`] per
-    /// worker that ran.
-    pub fn map_init_stats<S, T, R, I, F>(
-        &self,
-        items: &[T],
-        init: I,
-        f: F,
-    ) -> (Vec<R>, Vec<WorkerStats>)
-    where
+        S: Send,
         T: Sync,
         R: Send,
         I: Fn() -> S + Sync,
@@ -225,13 +148,13 @@ impl Pool {
                 .enumerate()
                 .map(|(i, item)| f(&mut state, i, item))
                 .collect();
-            let stats = vec![WorkerStats {
+            let stats = WorkerStats {
                 worker: 0,
                 items: items.len(),
                 steals: 0,
                 busy: start.elapsed(),
-            }];
-            return (out, stats);
+            };
+            return (out, vec![(state, stats)]);
         }
 
         // Deal the index space into contiguous per-worker deques. Contiguity
@@ -286,7 +209,7 @@ impl Pool {
                             steals,
                             busy: start.elapsed(),
                         };
-                        (local, stats)
+                        (local, (state, stats))
                     })
                 })
                 .collect();
@@ -330,12 +253,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The results of a stateless [`Pool::map`].
+    fn map<T: Sync, R: Send>(pool: Pool, items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
+        pool.map(items, || (), |(), i, item| f(i, item)).0
+    }
+
     #[test]
     fn map_preserves_input_order() {
         for threads in [1, 2, 3, 8] {
-            let pool = Pool::new(threads);
             let items: Vec<usize> = (0..100).collect();
-            let out = pool.map(&items, |i, &x| {
+            let out = map(Pool::new(threads), &items, |i, &x| {
                 assert_eq!(i, x);
                 x * 2
             });
@@ -346,16 +273,16 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         let pool = Pool::new(8);
-        let none: Vec<usize> = pool.map(&[] as &[usize], |_, &x| x);
+        let none: Vec<usize> = map(pool, &[] as &[usize], |_, &x| x);
         assert!(none.is_empty());
-        assert_eq!(pool.map(&[7usize], |_, &x| x + 1), vec![8]);
+        assert_eq!(map(pool, &[7usize], |_, &x| x + 1), vec![8]);
     }
 
     #[test]
     fn every_item_processed_exactly_once() {
         let counter = AtomicUsize::new(0);
         let items: Vec<usize> = (0..257).collect();
-        let out = Pool::new(4).map(&items, |_, &x| {
+        let out = map(Pool::new(4), &items, |_, &x| {
             counter.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -371,7 +298,7 @@ mod tests {
         // reset or skipped, the multiset of observed counts would not be
         // exactly 1..=items for each worker.
         let items: Vec<usize> = (0..64).collect();
-        let (out, stats) = Pool::new(4).map_init_stats(
+        let (out, workers) = Pool::new(4).map(
             &items,
             || 0usize,
             |seen, _, _| {
@@ -380,10 +307,17 @@ mod tests {
             },
         );
         assert_eq!(out.len(), items.len());
-        assert_eq!(stats.iter().map(|s| s.items).sum::<usize>(), items.len());
+        assert_eq!(
+            workers.iter().map(|(_, s)| s.items).sum::<usize>(),
+            items.len()
+        );
+        // The returned state is the worker's final one.
+        for (seen, stats) in &workers {
+            assert_eq!(*seen, stats.items);
+        }
         let mut observed = out;
         observed.sort_unstable();
-        let mut expected: Vec<usize> = stats.iter().flat_map(|s| 1..=s.items).collect();
+        let mut expected: Vec<usize> = workers.iter().flat_map(|(_, s)| 1..=s.items).collect();
         expected.sort_unstable();
         assert_eq!(observed, expected);
     }
@@ -394,7 +328,7 @@ mod tests {
         // chunking worker 0 would finish last while the others idle. The
         // pool must let other workers drain worker 0's remaining chunk.
         let items: Vec<usize> = (0..64).collect();
-        let (out, stats) = Pool::new(4).map_init_stats(
+        let (out, workers) = Pool::new(4).map(
             &items,
             || (),
             |(), _, &x| {
@@ -405,7 +339,7 @@ mod tests {
             },
         );
         assert_eq!(out, items);
-        let total: usize = stats.iter().map(|s| s.items).sum();
+        let total: usize = workers.iter().map(|(_, s)| s.items).sum();
         assert_eq!(total, items.len());
     }
 
@@ -414,39 +348,35 @@ mod tests {
         // Valid widths parse (whitespace tolerated).
         assert_eq!(parse_thread_count("4"), Ok(4));
         assert_eq!(parse_thread_count(" 2 "), Ok(2));
-        // `0` is rejected with a structured error that clamps to 1 — the
-        // historical behavior was a silent `max(1)`.
+        // `0` is rejected with a structured error.
         let zero = parse_thread_count("0").unwrap_err();
-        assert_eq!(zero.clamped_to, 1);
         assert!(zero.reason.contains("at least 1"), "{zero}");
-        // Unparsable text is rejected, clamping to the hardware default
-        // (never 0) — historically a silent fallback.
+        // Unparsable text is rejected, and the rendering names the value.
         for bad in ["abc", "-1", "2.5", ""] {
             let err = parse_thread_count(bad).unwrap_err();
             assert_eq!(err.value, bad);
-            assert_eq!(err.clamped_to, available_parallelism(), "{bad:?}");
-            assert!(err.clamped_to >= 1);
-            // The rendering names the variable and the clamp, so a log line
-            // alone is actionable.
             let msg = err.to_string();
-            assert!(msg.contains("SPECSLICE_NUM_THREADS"), "{msg}");
-            assert!(msg.contains("clamped"), "{msg}");
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+            assert!(msg.contains("not a positive integer"), "{msg}");
         }
     }
 
     #[test]
     fn zero_threads_means_one() {
         assert_eq!(Pool::new(0).threads(), 1);
-        assert_eq!(Pool::new(0).map(&[1, 2, 3], |_, &x: &i32| x), vec![1, 2, 3]);
+        assert_eq!(
+            map(Pool::new(0), &[1, 2, 3], |_, &x: &i32| x),
+            vec![1, 2, 3]
+        );
     }
 
     #[test]
     fn sequential_and_parallel_agree() {
         let items: Vec<u64> = (0..321).collect();
         let f = |_: usize, &x: &u64| x.wrapping_mul(2_654_435_761).rotate_left(7);
-        let seq = Pool::new(1).map(&items, f);
+        let seq = map(Pool::new(1), &items, f);
         for threads in [2, 5, 16] {
-            assert_eq!(Pool::new(threads).map(&items, f), seq, "{threads} threads");
+            assert_eq!(map(Pool::new(threads), &items, f), seq, "{threads} threads");
         }
     }
 }

@@ -10,12 +10,7 @@
 //! instead of hard-coding one — the contract is that every backend produces
 //! the **same** [`ExecOutcome`] (output vector, step accounting, exit path)
 //! and the **same** [`ExecError`] variants for the same request.
-//!
-//! Backend selection for default-configured callers is environmental:
-//! `SPECSLICE_EXEC_BACKEND=interp|vm` (parsed strictly, in the style of
-//! `SPECSLICE_NUM_THREADS` — see [`parse_backend`] / [`configured_backend`]).
-//! The selection helpers that need to *name* both backends live in
-//! `specslice-vm` (`default_backend()`), re-exported as `specslice::exec`.
+//! `specslice-vm`'s `backend()` maps a [`BackendKind`] to either one.
 
 use crate::{ExecError, ExecOutcome};
 use specslice_lang::ast::Program;
@@ -106,8 +101,7 @@ impl<'a> ExecRequest<'a> {
 /// variant. `tests/vm_differential.rs` enforces this across the corpus, the
 /// feature grids, specialized programs, and a seeded random sweep.
 pub trait ExecBackend: Sync {
-    /// Stable backend name (`"interp"`, `"vm"`), as accepted by
-    /// [`parse_backend`].
+    /// Stable backend name (`"interp"`, `"vm"`; see [`BackendKind::name`]).
     fn name(&self) -> &'static str;
 
     /// Runs the request to completion or to a structured failure.
@@ -130,7 +124,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// The backend's stable name (the value [`parse_backend`] accepts).
+    /// The backend's stable name.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Interp => "interp",
@@ -145,85 +139,9 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// A present-but-invalid `SPECSLICE_EXEC_BACKEND` value: what was set, why
-/// it was rejected, and the backend used instead.
-///
-/// Mirrors `specslice_exec::ThreadConfigError`: a silently ignored
-/// misconfiguration is the worst kind — a CI matrix leg that exports
-/// `SPECSLICE_EXEC_BACKEND=mv` would happily "pass" on the interpreter.
-/// [`configured_backend`] surfaces this as a value; `specslice-vm`'s
-/// `default_backend()` additionally logs it (once per process) and falls
-/// back.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BackendConfigError {
-    /// The rejected value, verbatim.
-    pub value: String,
-    /// Why it was rejected.
-    pub reason: String,
-    /// The backend used instead.
-    pub fallback: BackendKind,
-}
-
-impl fmt::Display for BackendConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid SPECSLICE_EXEC_BACKEND={:?}: {}; using {}",
-            self.value, self.reason, self.fallback
-        )
-    }
-}
-
-impl std::error::Error for BackendConfigError {}
-
-/// Strictly parses a backend name: `interp` or `vm` (surrounding
-/// whitespace tolerated, nothing else — no prefixes, no case variants).
-///
-/// # Errors
-///
-/// Any other value is rejected with a structured [`BackendConfigError`]
-/// naming the interpreter as the fallback.
-pub fn parse_backend(value: &str) -> Result<BackendKind, BackendConfigError> {
-    match value.trim() {
-        "interp" => Ok(BackendKind::Interp),
-        "vm" => Ok(BackendKind::Vm),
-        _ => Err(BackendConfigError {
-            value: value.to_string(),
-            reason: "expected \"interp\" or \"vm\"".to_string(),
-            fallback: BackendKind::Interp,
-        }),
-    }
-}
-
-/// Reads `SPECSLICE_EXEC_BACKEND` strictly: `Ok(None)` when unset,
-/// `Ok(Some(kind))` for a valid name, and a structured
-/// [`BackendConfigError`] for a present-but-invalid value. Servers and CLIs
-/// should call this once at startup and surface the error.
-///
-/// # Errors
-///
-/// A present-but-invalid value yields the [`parse_backend`] error.
-pub fn configured_backend() -> Result<Option<BackendKind>, BackendConfigError> {
-    match std::env::var("SPECSLICE_EXEC_BACKEND") {
-        Ok(v) => parse_backend(&v).map(Some),
-        Err(_) => Ok(None),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_accepts_exact_names_only() {
-        assert_eq!(parse_backend("interp"), Ok(BackendKind::Interp));
-        assert_eq!(parse_backend(" vm\n"), Ok(BackendKind::Vm));
-        for bad in ["", "Interp", "VM", "vm2", "interpreter", "0"] {
-            let err = parse_backend(bad).unwrap_err();
-            assert_eq!(err.fallback, BackendKind::Interp, "{bad:?}");
-            assert_eq!(err.value, bad);
-        }
-    }
 
     #[test]
     fn request_defaults_and_builders() {

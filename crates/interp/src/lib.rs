@@ -36,9 +36,7 @@
 
 mod api;
 
-pub use api::{
-    configured_backend, parse_backend, BackendConfigError, BackendKind, ExecBackend, ExecRequest,
-};
+pub use api::{BackendKind, ExecBackend, ExecRequest};
 
 use specslice_lang::ast::{BinOp, Callee, Expr, Function, Program, StmtKind, UnOp};
 use specslice_lang::Block;

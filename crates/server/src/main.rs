@@ -19,9 +19,8 @@ OPTIONS:
                           warm restarts)
     --budget-bytes N      evict cold sessions (LRU) once the summed session
                           estimate exceeds N bytes
-    --threads N           worker threads per session batch (default: the
-                          SPECSLICE_NUM_THREADS / available-parallelism
-                          default)
+    --threads N           worker threads per session batch, a positive
+                          integer (default: available parallelism)
     --max-frame N         maximum request/response frame size in bytes
                           (default 16 MiB)
     --help                print this help
@@ -83,16 +82,6 @@ fn main() -> ExitCode {
     let Some(bind) = bind else {
         return fail("a listen address is required (--tcp or --unix)");
     };
-
-    // Surface a malformed SPECSLICE_NUM_THREADS as a structured startup
-    // error instead of a clamped warning: a daemon's thread width should be
-    // what the operator asked for, or an error.
-    if threads.is_none() {
-        match specslice_exec::configured_threads() {
-            Ok(configured) => threads = configured,
-            Err(e) => return fail(&format!("invalid SPECSLICE_NUM_THREADS: {e}")),
-        }
-    }
 
     let config = ServerConfig {
         bind,

@@ -76,8 +76,8 @@ pub struct ServerConfig {
     pub snapshot_dir: Option<PathBuf>,
     /// Session-memory budget in bytes (`None` disables eviction).
     pub budget_bytes: Option<usize>,
-    /// Worker threads per session's `slice_batch` (`None` = the
-    /// `SPECSLICE_NUM_THREADS` / available-parallelism default).
+    /// Worker threads per session's batch queries (`None` = the machine's
+    /// available parallelism, [`specslice::SlicerConfig`]'s default).
     pub threads: Option<usize>,
     /// Maximum accepted frame payload size.
     pub max_frame: usize,

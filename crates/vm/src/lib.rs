@@ -16,12 +16,8 @@
 //! per-step hash lookups: compile once with [`Module::compile`], execute
 //! many times with [`Module::exec`].
 //!
-//! Backend selection for default-configured callers lives here (the crate
-//! that can name both backends): [`backend`] maps a [`BackendKind`] to a
-//! static instance, [`default_backend`] reads `SPECSLICE_EXEC_BACKEND`
-//! (strictly — an invalid value is logged once and falls back to the
-//! interpreter, mirroring `SPECSLICE_NUM_THREADS`), and [`run`] executes a
-//! request on the default backend.
+//! Backend selection lives here (the crate that can name both backends):
+//! [`backend`] maps a [`BackendKind`] to a static instance.
 //!
 //! ```
 //! use specslice_interp::ExecRequest;
@@ -45,9 +41,7 @@ mod machine;
 pub use machine::VmStats;
 
 use isa::{CallSite, Op, Proc, ScanfSite};
-use specslice_interp::{
-    configured_backend, BackendKind, ExecBackend, ExecError, ExecOutcome, ExecRequest, Interp,
-};
+use specslice_interp::{BackendKind, ExecBackend, ExecError, ExecOutcome, ExecRequest, Interp};
 use specslice_lang::ast::Program;
 
 /// A compiled, linked, directly executable program image.
@@ -145,31 +139,6 @@ pub fn backend(kind: BackendKind) -> &'static dyn ExecBackend {
         BackendKind::Interp => &Interp,
         BackendKind::Vm => &Vm,
     }
-}
-
-/// The process-default backend: `SPECSLICE_EXEC_BACKEND` if valid, the
-/// interpreter otherwise. An invalid value is logged to stderr once per
-/// process and falls back (same contract as `SPECSLICE_NUM_THREADS`); use
-/// [`configured_backend`] to surface the error as a value instead.
-pub fn default_backend() -> &'static dyn ExecBackend {
-    let kind = match configured_backend() {
-        Ok(k) => k.unwrap_or_default(),
-        Err(e) => {
-            static LOGGED: std::sync::Once = std::sync::Once::new();
-            LOGGED.call_once(|| eprintln!("specslice-vm: {e}"));
-            e.fallback
-        }
-    };
-    backend(kind)
-}
-
-/// Runs a request on the [`default_backend`].
-///
-/// # Errors
-///
-/// Whatever the selected backend returns; see [`ExecBackend::exec`].
-pub fn run(req: &ExecRequest<'_>) -> Result<ExecOutcome, ExecError> {
-    default_backend().exec(req)
 }
 
 #[cfg(test)]
@@ -370,9 +339,10 @@ mod tests {
     fn backend_selection() {
         assert_eq!(backend(BackendKind::Interp).name(), "interp");
         assert_eq!(backend(BackendKind::Vm).name(), "vm");
-        // default_backend is env-driven; just check it answers requests.
         let p = frontend(r#"int main() { printf("%d", 7); return 0; }"#).unwrap();
-        let out = run(&ExecRequest::new(&p)).unwrap();
-        assert_eq!(out.output, vec![7]);
+        for kind in [BackendKind::Interp, BackendKind::Vm] {
+            let out = backend(kind).exec(&ExecRequest::new(&p)).unwrap();
+            assert_eq!(out.output, vec![7]);
+        }
     }
 }

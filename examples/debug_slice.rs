@@ -174,10 +174,8 @@ fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
         Ok(Slicer::from_program_with(
             lowered,
             SlicerConfig {
-                collect_stats: false,
                 memoize: false,
                 num_threads: 1,
-                ..SlicerConfig::default()
             },
         )?)
     });

@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let regen = slicer.regenerate(&slice)?;
     println!("\n=== specialization slice ===\n{}", regen.source);
 
-    // Both programs print the same criterion value (backend selectable via
-    // SPECSLICE_EXEC_BACKEND=interp|vm).
+    // Both programs print the same criterion value (`exec::run` is the
+    // reference interpreter; `exec::backend` picks the VM instead).
     let a = exec::run(&ExecRequest::new(slicer.program().expect("from source")))?;
     let b = exec::run(&ExecRequest::new(&regen.program))?;
     assert_eq!(a.output, b.output);

@@ -14,7 +14,6 @@ fn config(num_threads: usize, memoize: bool) -> SlicerConfig {
     SlicerConfig {
         num_threads,
         memoize,
-        ..SlicerConfig::default()
     }
 }
 

@@ -4,16 +4,59 @@
 //! original at every criterion `printf`).
 
 use specslice::exec::{self, ExecRequest};
-use specslice::{Criterion, Slicer};
+use specslice::stats::{slice_stats, SliceStats};
+use specslice::{Criterion, Slicer, SpecSlice};
 use specslice_lang::frontend;
 use specslice_sdg::build::build_sdg;
 use specslice_sdg::slice::{backward_closure_slice, parameter_mismatches, weiser_executable_slice};
+use std::sync::OnceLock;
+
+/// One corpus program's all-printf specialization slice and its
+/// statistics against the closure slice.
+struct CorpusSlice {
+    name: &'static str,
+    slicer: Slicer,
+    slice: SpecSlice,
+    stats: SliceStats,
+}
+
+/// Every corpus program sliced on all its printfs, computed once for the
+/// tests that share it (each program's closure slice, and the summary
+/// relation under it, is derived once).
+fn corpus_slices() -> &'static [CorpusSlice] {
+    static SLICES: OnceLock<Vec<CorpusSlice>> = OnceLock::new();
+    SLICES.get_or_init(|| {
+        specslice_corpus::programs()
+            .iter()
+            .map(|prog| {
+                let slicer = Slicer::from_source(prog.source)
+                    .unwrap_or_else(|e| panic!("{}: {e}", prog.name));
+                let slice = slicer
+                    .slice(&Criterion::printf_actuals(slicer.sdg()))
+                    .unwrap_or_else(|e| panic!("{} specialize: {e}", prog.name));
+                let cv = slicer.sdg().printf_actual_in_vertices();
+                let stats = slice_stats(slicer.sdg(), &slice, &cv);
+                CorpusSlice {
+                    name: prog.name,
+                    slicer,
+                    slice,
+                    stats,
+                }
+            })
+            .collect()
+    })
+}
 
 #[test]
 fn corpus_programs_run_and_slice() {
-    for prog in specslice_corpus::programs() {
-        let slicer =
-            Slicer::from_source(prog.source).unwrap_or_else(|e| panic!("{}: {e}", prog.name));
+    for (prog, sliced) in specslice_corpus::programs().iter().zip(corpus_slices()) {
+        assert_eq!(prog.name, sliced.name);
+        let CorpusSlice {
+            slicer,
+            slice,
+            stats,
+            ..
+        } = sliced;
         let ast = slicer.program().expect("built from source");
 
         // Original execution.
@@ -26,31 +69,26 @@ fn corpus_programs_run_and_slice() {
         );
 
         // Specialization slice w.r.t. every printf.
-        let criterion = Criterion::printf_actuals(slicer.sdg());
-        let slice = slicer
-            .slice(&criterion)
-            .unwrap_or_else(|e| panic!("{} specialize: {e}", prog.name));
         assert!(!slice.is_empty(), "{}: empty slice", prog.name);
 
         // Element-level soundness: Elems ⊆ closure slice.
-        let cv = slicer.sdg().printf_actual_in_vertices();
-        let outside = specslice::stats::elements_outside_closure(slicer.sdg(), &slice, &cv);
         assert!(
-            outside.is_empty(),
-            "{}: vertices outside closure slice: {outside:?}",
-            prog.name
+            stats.outside_closure.is_empty(),
+            "{}: vertices outside closure slice: {:?}",
+            prog.name,
+            stats.outside_closure
         );
         // Element-level completeness for all-contexts criteria.
-        let missing = specslice::stats::closure_not_covered(slicer.sdg(), &slice, &cv);
         assert!(
-            missing.is_empty(),
-            "{}: closure vertices not covered: {missing:?}",
-            prog.name
+            stats.closure_not_covered.is_empty(),
+            "{}: closure vertices not covered: {:?}",
+            prog.name,
+            stats.closure_not_covered
         );
 
         // Regenerate and execute; full printf criterion ⇒ identical output.
         let regen = slicer
-            .regenerate(&slice)
+            .regenerate(slice)
             .unwrap_or_else(|e| panic!("{} regen: {e}", prog.name));
         // The regenerated source re-parses through the whole frontend.
         let reparsed = frontend(&regen.source)
@@ -106,16 +144,7 @@ fn corpus_variant_distribution_is_modest() {
     let mut single = 0usize;
     let mut multi = 0usize;
     let mut max_variants = 0usize;
-    for prog in specslice_corpus::programs() {
-        let slicer = Slicer::from_source(prog.source).unwrap();
-        let slice = slicer
-            .slice(&Criterion::printf_actuals(slicer.sdg()))
-            .unwrap();
-        let stats = specslice::stats::slice_stats(
-            slicer.sdg(),
-            &slice,
-            &slicer.sdg().printf_actual_in_vertices(),
-        );
+    for CorpusSlice { stats, .. } in corpus_slices() {
         for (&n, &count) in &stats.variant_histogram {
             if n == 1 {
                 single += count;

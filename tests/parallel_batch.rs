@@ -198,3 +198,73 @@ fn saturation_bases_built_once_under_parallelism() {
     slicer.forward_slice_batch(&criteria).unwrap();
     assert_eq!(builds(&slicer), [1, 1]);
 }
+
+/// Parallel batch workers check their scratch out of the session pool and
+/// return it: after a two-worker batch the pool holds at most two warm
+/// scratches, and the session's byte estimate counts them. Each worker
+/// interns into a fresh shard per batch, so a later batch answers exactly
+/// what a one-worker session answers.
+#[test]
+fn parallel_workers_recycle_their_scratch() {
+    let prog = specslice_corpus::by_name("gzip").unwrap();
+    let config = |num_threads| SlicerConfig {
+        num_threads,
+        memoize: false,
+    };
+    let slicer = Slicer::from_source_with(prog.source, config(2)).unwrap();
+    let fresh = Slicer::from_source_with(prog.source, config(1)).unwrap();
+    let criteria = per_printf_criteria(&slicer);
+    assert!(criteria.len() >= 2, "gzip has several printfs");
+
+    let batch = slicer.slice_batch(&criteria).unwrap();
+    assert_eq!(batch.per_thread.len(), 2, "the batch runs on two workers");
+    let scratch = slicer.scratch_stats();
+    assert!(
+        (1..=2).contains(&scratch.pooled),
+        "a two-worker batch parks its workers' scratches: {scratch:?}"
+    );
+    assert!(scratch.approx_bytes > 0, "{scratch:?}");
+    let base = slicer.saturation_base(Direction::Backward).unwrap();
+    assert_eq!(
+        slicer.approx_bytes(),
+        slicer.sdg().approx_bytes()
+            + slicer.encoding().approx_bytes()
+            + slicer.store_stats().approx_bytes()
+            + base.approx_bytes()
+            + scratch.approx_bytes,
+        "the session estimate counts the parked scratches"
+    );
+
+    assert_eq!(
+        fingerprint(&batch.slices),
+        fingerprint(&fresh.slice_batch(&criteria).unwrap().slices),
+    );
+    let (first, second) = criteria.split_at(criteria.len() / 2);
+    for batch in [first, second, &criteria[..]] {
+        assert_eq!(
+            fingerprint(&slicer.slice_batch(batch).unwrap().slices),
+            fingerprint(&fresh.slice_batch(batch).unwrap().slices),
+        );
+        assert!(slicer.scratch_stats().pooled <= 2);
+    }
+}
+
+/// At one worker, `slice_batch_results` answers exactly what one `slice`
+/// per criterion answers, in a session of its own.
+#[test]
+fn sequential_batch_results_match_solo_slices() {
+    let prog = specslice_corpus::by_name("wc").unwrap();
+    let batched = session(prog.source, 1);
+    let solo = session(prog.source, 1);
+    let mut criteria = per_printf_criteria(&batched);
+    criteria.push(Criterion::printf_actuals(batched.sdg()));
+    let results = batched.slice_batch_results(&criteria);
+    assert_eq!(results.len(), criteria.len());
+    for (criterion, result) in criteria.iter().zip(results) {
+        let slice = result.unwrap();
+        let want = solo.slice(criterion).unwrap();
+        assert_eq!(format!("{slice:?}"), format!("{want:?}"));
+        assert_eq!(slice.variant_ids(), want.variant_ids());
+    }
+    assert_eq!(batched.store_stats(), solo.store_stats());
+}

@@ -54,7 +54,6 @@ fn session(source: &str, num_threads: usize) -> Slicer {
     Slicer::from_program_with(
         lowered,
         SlicerConfig {
-            collect_stats: false,
             num_threads,
             ..SlicerConfig::default()
         },

@@ -1,7 +1,7 @@
 //! The `Slicer` session contract: batch ≡ individual, cached encodings are
 //! never rebuilt, structured errors classify and chain.
 
-use specslice::{Criterion, Direction, Slicer, SlicerConfig, SpecError, SpecSlice};
+use specslice::{Criterion, Direction, PipelineStats, Slicer, SlicerConfig, SpecError, SpecSlice};
 use specslice_corpus::{random_program, GenConfig};
 use specslice_sdg::build::build_sdg;
 use std::error::Error as _;
@@ -236,35 +236,33 @@ fn batch_errors_identify_the_criterion() {
     }
 }
 
-/// Config toggles: stats collection can be disabled for hot loops; the
-/// validation toggle only skips the audit, never changes results.
+/// Every batch reports one [`PipelineStats`] per criterion, in input
+/// order, each describing the same work as a solo query of that criterion,
+/// and the aggregate absorbs exactly those.
 #[test]
-fn config_controls_stats_and_validation() {
+fn batches_always_report_per_criterion_stats() {
     let _guard = serial();
     let prog = specslice_corpus::by_name("replace").unwrap();
-    let audited = Slicer::from_source(prog.source).unwrap();
-    let unaudited = Slicer::from_source_with(
-        prog.source,
-        SlicerConfig {
-            validate: false,
-            collect_stats: false,
-            ..SlicerConfig::default()
-        },
-    )
-    .unwrap();
-    let criteria = per_printf_criteria(&audited);
+    let batched = Slicer::from_source(prog.source).unwrap();
+    let solo = Slicer::from_source(prog.source).unwrap();
+    let criteria = per_printf_criteria(&batched);
 
-    let with = audited.slice_batch(&criteria).unwrap();
-    let without = unaudited.slice_batch(&criteria).unwrap();
-    assert_eq!(with.per_criterion.len(), criteria.len());
-    assert!(
-        without.per_criterion.is_empty(),
-        "stats collection disabled"
-    );
-    assert!(with.aggregate.saturation_transitions > 0);
-    for (a, b) in with.slices.iter().zip(&without.slices) {
-        assert_same_slice(a, b, "validate toggle must not change slices");
+    let batch = batched.slice_batch(&criteria).unwrap();
+    assert_eq!(batch.per_criterion.len(), criteria.len());
+    assert!(batch.aggregate.saturation_transitions > 0);
+    let mut aggregate = PipelineStats::default();
+    for (criterion, stats) in criteria.iter().zip(&batch.per_criterion) {
+        let (_, want) = solo.slice_with_stats(criterion).unwrap();
+        assert_eq!(stats.saturation_transitions, want.saturation_transitions);
+        assert_eq!(stats.a1_transitions, want.a1_transitions);
+        assert_eq!(stats.mrd.minimized_states, want.mrd.minimized_states);
+        aggregate.absorb(stats);
     }
+    assert_eq!(
+        aggregate.saturation_transitions,
+        batch.aggregate.saturation_transitions
+    );
+    assert_eq!(aggregate.a1_transitions, batch.aggregate.a1_transitions);
 }
 
 /// Sessions built from a bare SDG slice fine but cannot regenerate source.
@@ -348,7 +346,6 @@ fn approx_bytes_includes_warm_scratch_pool() {
         SlicerConfig {
             memoize: false, // memo bytes out of the picture: exact sum below
             num_threads: 1,
-            ..SlicerConfig::default()
         },
     )
     .unwrap();
