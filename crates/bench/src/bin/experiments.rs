@@ -185,48 +185,28 @@ struct Fig17Row {
 }
 
 fn corpus_records() -> (Vec<Fig17Row>, Vec<SliceRecord>) {
-    // Programs are independent, so the corpus fans out one session per
-    // program across the available cores (per-criterion parallelism lives
-    // inside `slice_batch`; here the unit of work is a whole program).
-    // `Pool::map` returns in input order, so tables are stable.
-    let pool = specslice_exec::Pool::with_available_parallelism();
-    if pool.threads() > 1 {
-        println!(
-            "(corpus sweep parallelized over {} workers; timing columns in the \
-             figures below were measured on a machine loaded by the sweep itself \
-             — sizes and shapes are unaffected)",
-            pool.threads()
-        );
-    }
-    let progs = specslice_corpus::programs();
+    // One program at a time: fig21's timing columns must be measured on an
+    // otherwise idle core, not beside another program's session.
     // `slice_program` times repeated queries, so the sessions must not
     // memoize.
     let config = SlicerConfig {
         memoize: false,
         ..SlicerConfig::default()
     };
-    let (per_program, _) = pool.map(
-        &progs,
-        || (),
-        |(), _, prog| {
-            let slicer = Slicer::from_source_with(prog.source, config).unwrap();
-            let recs = slice_program(prog.name, &slicer);
-            let sdg = slicer.sdg();
-            let row = Fig17Row {
-                name: prog.name,
-                loc: loc(prog.source),
-                procs: sdg.procs.len(),
-                vertices: sdg.vertex_count(),
-                call_sites: sdg.call_sites.len(),
-                slices: recs.len(),
-            };
-            (row, recs)
-        },
-    );
     let mut rows = Vec::new();
     let mut records = Vec::new();
-    for (row, recs) in per_program {
-        rows.push(row);
+    for prog in specslice_corpus::programs() {
+        let slicer = Slicer::from_source_with(prog.source, config).unwrap();
+        let recs = slice_program(prog.name, &slicer);
+        let sdg = slicer.sdg();
+        rows.push(Fig17Row {
+            name: prog.name,
+            loc: loc(prog.source),
+            procs: sdg.procs.len(),
+            vertices: sdg.vertex_count(),
+            call_sites: sdg.call_sites.len(),
+            slices: recs.len(),
+        });
         records.extend(recs);
     }
     // The Fig. 18 / det-shrink aggregates also include the mismatch-rich
@@ -240,16 +220,9 @@ fn corpus_records() -> (Vec<Fig17Row>, Vec<SliceRecord>) {
         ("pk4", specslice_corpus::pk_family(4)),
         ("pk5", specslice_corpus::pk_family(5)),
     ];
-    let (extra_records, _) = pool.map(
-        &extra,
-        || (),
-        |(), _, (name, src)| {
-            let slicer = Slicer::from_source_with(src, config).unwrap();
-            slice_program(name, &slicer)
-        },
-    );
-    for recs in extra_records {
-        records.extend(recs);
+    for (name, src) in extra {
+        let slicer = Slicer::from_source_with(&src, config).unwrap();
+        records.extend(slice_program(name, &slicer));
     }
     (rows, records)
 }

@@ -97,6 +97,36 @@ fn validate_configuration(sdg: &Sdg, v: VertexId, stack: &[CallSiteId]) -> Resul
     Ok(())
 }
 
+/// The checks [`query_automaton`] applies to a criterion before building
+/// its automaton: no empty criterion, no out-of-range vertex or call site,
+/// no unrealizable stack. A raw automaton is checked as it is converted.
+pub(crate) fn check_criterion(sdg: &Sdg, criterion: &Criterion) -> Result<(), SpecError> {
+    match criterion {
+        Criterion::Configurations(configs) => {
+            if configs.is_empty() {
+                return Err(SpecError::bad_criterion("empty criterion"));
+            }
+            configs
+                .iter()
+                .try_for_each(|(v, stack)| validate_configuration(sdg, *v, stack))
+        }
+        Criterion::AllContexts(verts) => {
+            if verts.is_empty() {
+                return Err(SpecError::bad_criterion("empty criterion"));
+            }
+            for &v in verts {
+                if v.index() >= sdg.vertex_count() {
+                    return Err(SpecError::bad_criterion(format!(
+                        "criterion vertex {v:?} out of range"
+                    )));
+                }
+            }
+            Ok(())
+        }
+        Criterion::Automaton(_) => Ok(()),
+    }
+}
+
 /// Builds the P-automaton `A0` for a criterion (Fig. 9-style).
 ///
 /// # Errors
@@ -107,17 +137,14 @@ pub fn query_automaton(
     enc: &Encoded,
     criterion: &Criterion,
 ) -> Result<PAutomaton, SpecError> {
+    check_criterion(sdg, criterion)?;
     match criterion {
         Criterion::Configurations(configs) => {
-            if configs.is_empty() {
-                return Err(SpecError::bad_criterion("empty criterion"));
-            }
             let mut aut = PAutomaton::new(enc.pds.control_count());
             let p = aut.control_state(MAIN_CONTROL);
             let f = aut.add_state();
             aut.set_final(f);
             for (v, stack) in configs {
-                validate_configuration(sdg, *v, stack)?;
                 // Chain p –v→ … –C_k→ f.
                 let mut syms = vec![enc.vertex_symbol(*v)];
                 syms.extend(stack.iter().map(|&c| enc.call_symbol(c)));
@@ -135,16 +162,6 @@ pub fn query_automaton(
             Ok(aut)
         }
         Criterion::AllContexts(verts) => {
-            if verts.is_empty() {
-                return Err(SpecError::bad_criterion("empty criterion"));
-            }
-            for &v in verts {
-                if v.index() >= sdg.vertex_count() {
-                    return Err(SpecError::bad_criterion(format!(
-                        "criterion vertex {v:?} out of range"
-                    )));
-                }
-            }
             nfa_to_query(enc, &call_chains(sdg, enc, verts.iter().copied()))
         }
         Criterion::Automaton(nfa) => nfa_to_query(enc, nfa),

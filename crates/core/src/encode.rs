@@ -16,8 +16,8 @@
 //! `specslice_sdg` derive them, on demand).
 
 use specslice_fsa::Symbol;
-use specslice_pds::{ControlLoc, Pds, Rhs, RuleIndex};
-use specslice_sdg::{CallSiteId, EdgeKind, Sdg, SdgPatch, VertexId, VertexKind};
+use specslice_pds::{ControlLoc, Pds, RuleIndex};
+use specslice_sdg::{CallSiteId, EdgeKind, Sdg, VertexId, VertexKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -121,33 +121,7 @@ pub fn encode_sdg(sdg: &Sdg) -> Encoded {
             }
         }
     }
-    add_interprocedural_rules(&mut pds, sdg, &fo_controls, n_vertices);
-
-    let index = RuleIndex::new(&pds);
-    Encoded {
-        pds,
-        index,
-        n_vertices,
-        n_call_sites,
-        fo_controls,
-    }
-}
-
-/// The interprocedural rules of Fig. 8 — call and parameter-in pushes,
-/// parameter-out internal rules through `p_fo` control locations, and one
-/// pop per formal-out with a parameter-out edge. Shared by [`encode_sdg`]
-/// and [`patch_encoding`]: the incremental path's exactness contract is
-/// that both derive identical rule *sets*, so the derivation exists once.
-/// Returns the number of rules added.
-fn add_interprocedural_rules(
-    pds: &mut Pds,
-    sdg: &Sdg,
-    fo_controls: &HashMap<VertexId, ControlLoc>,
-    n_vertices: u32,
-) -> usize {
-    let enc_sym = |v: VertexId| Symbol(v.0);
     let enc_call = |c: CallSiteId| Symbol(n_vertices + c.0);
-    let mut added = 0usize;
     for u in sdg.vertex_ids() {
         for &(v, kind) in sdg.successors(u) {
             match kind {
@@ -163,7 +137,6 @@ fn add_interprocedural_rules(
                         enc_sym(v),
                         enc_call(site),
                     );
-                    added += 1;
                 }
                 EdgeKind::ParamIn => {
                     let site = match &sdg.vertex(u).kind {
@@ -177,7 +150,6 @@ fn add_interprocedural_rules(
                         enc_sym(v),
                         enc_call(site),
                     );
-                    added += 1;
                 }
                 EdgeKind::ParamOut => {
                     let site = match &sdg.vertex(v).kind {
@@ -188,9 +160,9 @@ fn add_interprocedural_rules(
                     // The pop rule is added once per formal-out (below);
                     // the internal rule once per (fo, site) pair.
                     pds.add_internal(pfo, enc_call(site), MAIN_CONTROL, enc_sym(v));
-                    added += 1;
                 }
-                // Intra-procedural kinds are the caller's business.
+                // Added by the pass above, so every intraprocedural rule
+                // precedes every interprocedural one.
                 EdgeKind::Flow | EdgeKind::Control | EdgeKind::LibActual => {}
             }
         }
@@ -212,107 +184,17 @@ fn add_interprocedural_rules(
             .any(|&(_, k)| k == EdgeKind::ParamOut);
         if has_param_out {
             pds.add_pop(MAIN_CONTROL, enc_sym(v), pfo);
-            added += 1;
         }
     }
-    added
-}
-
-/// What [`patch_encoding`] reused versus re-derived (reported through
-/// `Slicer::apply_edit`'s edit report).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EncodingPatchStats {
-    /// Internal rules carried over from the previous encoding (symbol ids
-    /// rewritten through the patch's vertex map).
-    pub rules_reused: usize,
-    /// Rules re-derived from the patched SDG (rebuilt procedures' internal
-    /// rules plus every interprocedural rule).
-    pub rules_rebuilt: usize,
-}
-
-/// Patches a cached encoding after an SDG edit, in place of a full
-/// [`encode_sdg`] pass.
-///
-/// The bulk of an encoding — one internal rule per control/flow/§6.1 edge —
-/// survives an edit untouched except for symbol renumbering, so those rules
-/// are rewritten through the patch's vertex map instead of being re-derived
-/// from adjacency lists. Rules of rebuilt procedures and all
-/// interprocedural rules (call / parameter-in / parameter-out / pop, which
-/// depend on cross-procedure identifiers) are re-derived from the patched
-/// SDG. The resulting rule *set* is exactly `encode_sdg(sdg)`'s — only the
-/// rule order may differ, which no downstream output depends on (the MRD
-/// automaton is canonical by language).
-pub fn patch_encoding(old: &Encoded, sdg: &Sdg, patch: &SdgPatch) -> (Encoded, EncodingPatchStats) {
-    let n_vertices = sdg.vertex_count() as u32;
-    let n_call_sites = sdg.call_sites.len() as u32;
-    let mut pds = Pds::new(1);
-    let mut stats = EncodingPatchStats::default();
-
-    // Control locations must match a fresh encode exactly: one per
-    // formal-out, in vertex order.
-    let mut fo_controls = HashMap::new();
-    for v in sdg.vertex_ids() {
-        if matches!(sdg.vertex(v).kind, VertexKind::FormalOut { .. }) {
-            fo_controls.insert(v, pds.add_control());
-        }
-    }
-
-    let enc_sym = |v: VertexId| Symbol(v.0);
-
-    // 1. Carry over the internal rules of procedures whose dependence edges
-    // were copied: their vertices map through the patch, rebuilt
-    // procedures' vertices do not.
-    for rule in old.pds.rules() {
-        if rule.from_loc != MAIN_CONTROL {
-            continue; // parameter-out plumbing: re-derived below
-        }
-        let Rhs::Internal(rhs) = rule.rhs else {
-            continue; // push/pop rules: re-derived below
-        };
-        let (Some(u), Some(v)) = (old.symbol_vertex(rule.from_sym), old.symbol_vertex(rhs)) else {
-            continue;
-        };
-        let (Some(nu), Some(nv)) = (patch.map_vertex(u), patch.map_vertex(v)) else {
-            continue;
-        };
-        pds.add_internal(MAIN_CONTROL, enc_sym(nu), MAIN_CONTROL, enc_sym(nv));
-        stats.rules_reused += 1;
-    }
-
-    // 2. Internal rules of rebuilt procedures, from the patched SDG.
-    for name in &patch.rebuilt {
-        let Some(&pid) = sdg.proc_by_name.get(name) else {
-            continue; // removed procedure
-        };
-        for &u in &sdg.proc(pid).vertices {
-            for &(v, kind) in sdg.successors(u) {
-                if matches!(
-                    kind,
-                    EdgeKind::Flow | EdgeKind::Control | EdgeKind::LibActual
-                ) {
-                    pds.add_internal(MAIN_CONTROL, enc_sym(u), MAIN_CONTROL, enc_sym(v));
-                    stats.rules_rebuilt += 1;
-                }
-            }
-        }
-    }
-
-    // 3. Interprocedural rules, always re-derived (they mix identifiers of
-    // several procedures, so no single procedure's reuse covers them) —
-    // through the exact derivation `encode_sdg` uses.
-    stats.rules_rebuilt += add_interprocedural_rules(&mut pds, sdg, &fo_controls, n_vertices);
 
     let index = RuleIndex::new(&pds);
-    (
-        Encoded {
-            pds,
-            index,
-            n_vertices,
-            n_call_sites,
-            fo_controls,
-        },
-        stats,
-    )
+    Encoded {
+        pds,
+        index,
+        n_vertices,
+        n_call_sites,
+        fo_controls,
+    }
 }
 
 /// Pretty-prints the PDS rules in the style of the paper's Tab. I (used by

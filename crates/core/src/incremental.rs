@@ -11,15 +11,17 @@
 //!    (`specslice_lang::delta`);
 //! 2. the SDG is patched — dependence edges are recomputed only for dirty
 //!    procedures (`specslice_sdg::patch`);
-//! 3. the PDS encoding is patched in place: surviving internal rules are
-//!    identifier-remapped, only rebuilt procedures' rules and the
-//!    interprocedural plumbing are re-derived ([`encode::patch_encoding`]);
+//! 3. the PDS encoding is derived afresh from the patched SDG
+//!    ([`encode::encode_sdg`]): it is a pure function of the SDG
+//!    (Defn. 3.2), costs a few percent of an edit, and so matches a fresh
+//!    session's rule for rule;
 //! 4. both saturation bases are dropped for lazy rebuild (nothing else
 //!    is program-dependent: an all-contexts query reads its stack language
 //!    off the patched call graph, see [`crate::criteria`]);
 //! 5. memo entries are kept (identifier-remapped, re-canonicalized, and
-//!    re-read-out once into the session's fresh [`VariantStore`] — the
-//!    superseded store's rows are keyed by pre-edit vertex ids) unless the
+//!    re-read-out once into the session's fresh [`VariantStore`] by the
+//!    read-out a snapshot import runs too — the superseded store's rows
+//!    are keyed by pre-edit vertex ids) unless the
 //!    edit's *impact region* — every procedure call-reachable from a
 //!    rebuilt one — intersects the procedures their slice mentions.
 //!    Unaffected criteria are then answered without re-running `post*`,
@@ -28,18 +30,18 @@
 //!
 //! The contract is exact: after `apply_edit`, every query answers
 //! byte-for-byte what a fresh `Slicer` on the edited program would answer
-//! (`tests/incremental.rs` checks this across the corpus). On any patching
-//! failure the session falls back to a full rebuild — the incremental path
+//! (`tests/incremental.rs` checks this across the corpus). When the SDG
+//! patch fails, the session re-patches with every procedure rebuilt, which
+//! maps no identifier and so drops the whole memo — the incremental path
 //! changes cost, never results.
 
 use crate::encode;
 use crate::readout::{self, ReadoutScratch};
-use crate::slicer::{CachedSlice, KeySelect, MemoEntry, MemoKey, Slicer};
+use crate::slicer::{KeySelect, MemoEntry, MemoKey, Slicer};
 use crate::store::VariantStore;
 use crate::SpecError;
 use specslice_fsa::{canonicalize_mrd, Nfa, Symbol};
 use specslice_lang::{Program, ProgramDelta};
-use specslice_sdg::build::build_sdg;
 use specslice_sdg::{patch_sdg, CallSiteId, CalleeKind, ProcId, Sdg, SdgPatch, VertexId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -51,22 +53,25 @@ pub struct EditReport {
     pub rebuilt_procs: Vec<String>,
     /// Procedures whose dependence edges were copied from the old SDG.
     pub reused_procs: usize,
-    /// PDS rules carried over from the old encoding (symbol-remapped).
+    /// Always 0: an edit re-encodes the patched SDG. Kept only because the
+    /// perfbench harness (`perfbench/src/traced.rs`) reads it; ROADMAP
+    /// item 1's benchmark change deletes it.
+    #[doc(hidden)]
     pub rules_reused: usize,
-    /// PDS rules re-derived from the patched SDG.
-    pub rules_rebuilt: usize,
     /// Memo entries kept across the edit (remapped to new identifiers).
     pub memo_kept: usize,
     /// Memo entries invalidated by the edit.
     pub memo_dropped: usize,
-    /// `true` when patching was not possible and the session fell back to a
-    /// full rebuild (results are identical either way).
+    /// `true` when the SDG patch failed and the session fell back to
+    /// rebuilding every procedure, dropping the whole memo (results are
+    /// identical either way).
     pub full_rebuild: bool,
 }
 
 impl Slicer {
     /// Applies a program edit to the session in place, patching the cached
-    /// SDG, PDS encoding, and slice memo instead of rebuilding them.
+    /// SDG and slice memo instead of rebuilding them (the PDS encoding is
+    /// derived afresh from the patched SDG).
     ///
     /// After this returns, the session behaves exactly like
     /// `Slicer::from_program` on the edited program — same slices, byte for
@@ -117,18 +122,25 @@ impl Slicer {
         let new_program = delta.apply(program)?;
         let touched = delta.touched_functions(program);
         let full = delta.touches_globals();
-        match patch_sdg(&self.sdg, &new_program, &touched, full) {
-            Ok(patch) => Ok(self.install_patch(new_program, patch)),
+        let (patch, full_rebuild) = match patch_sdg(&self.sdg, &new_program, &touched, full) {
+            Ok(patch) => (patch, false),
             // A failed patch means the old session state cannot be
             // correlated with the edited program (e.g. a hand-modified SDG);
-            // results must not depend on which path ran, so rebuild.
-            Err(_) => self.rebuild_for(new_program),
-        }
+            // results must not depend on which path ran, so rebuild every
+            // procedure, which maps no identifier.
+            Err(_) => (patch_sdg(&self.sdg, &new_program, &touched, true)?, true),
+        };
+        Ok(self.install_patch(new_program, patch, full_rebuild))
     }
 
     /// Swaps the patched state in, migrating every cache the edit spared.
-    fn install_patch(&mut self, new_program: Program, patch: SdgPatch) -> EditReport {
-        let (enc, enc_stats) = encode::patch_encoding(&self.enc, &patch.sdg, &patch);
+    fn install_patch(
+        &mut self,
+        new_program: Program,
+        patch: SdgPatch,
+        full_rebuild: bool,
+    ) -> EditReport {
+        let enc = encode::encode_sdg(&patch.sdg);
 
         // The edit's impact region: procedures whose slices could observe
         // the edit. A slice's automaton mentions every procedure on its
@@ -232,29 +244,16 @@ impl Slicer {
                 .then(|| {
                     let nk = key.remap(|v| patch.map_vertex(v), |c| patch.map_call_site(c))?;
                     let a6 = canonicalize_mrd(&entry.a6.remap_symbols(sym_map)?);
-                    // Read out against a throwaway store first: a read-out
-                    // that fails halfway must not strand the rows it
-                    // already interned in the session's fresh store.
-                    let staging = Arc::new(VariantStore::new());
-                    let slice = readout::read_out_in(
+                    let slice = readout::read_out_staged(
                         &patch.sdg,
                         &enc,
                         &a6,
                         key.dir.into(),
                         &mut scratch,
-                        &staging,
                     )
                     .ok()?
                     .reintern_into(&new_store);
-                    let cached = CachedSlice::of(&slice);
-                    Some((
-                        nk,
-                        MemoEntry {
-                            a6,
-                            cached,
-                            ..entry
-                        },
-                    ))
+                    Some((nk, MemoEntry::of(slice, entry.stats)))
                 })
                 .flatten();
             match migrated {
@@ -268,11 +267,10 @@ impl Slicer {
         let report = EditReport {
             rebuilt_procs: patch.rebuilt.iter().cloned().collect(),
             reused_procs: patch.reused_procs,
-            rules_reused: enc_stats.rules_reused,
-            rules_rebuilt: enc_stats.rules_rebuilt,
+            rules_reused: 0,
             memo_kept: kept.len(),
             memo_dropped: dropped,
-            full_rebuild: false,
+            full_rebuild,
         };
 
         self.program = Some(new_program);
@@ -284,28 +282,6 @@ impl Slicer {
         self.saturation_bases = Default::default();
         *self.memo.write().unwrap_or_else(|e| e.into_inner()) = kept;
         report
-    }
-
-    /// Full-rebuild fallback: same observable behavior, no reuse.
-    fn rebuild_for(&mut self, new_program: Program) -> Result<EditReport, SpecError> {
-        let sdg = build_sdg(&new_program)?;
-        let enc = encode::encode_sdg(&sdg);
-        let report = EditReport {
-            rebuilt_procs: sdg.procs.iter().map(|p| p.name.clone()).collect(),
-            full_rebuild: true,
-            ..EditReport::default()
-        };
-        let dropped = self.memo_len();
-        self.program = Some(new_program);
-        self.sdg = sdg;
-        self.enc = enc;
-        self.store = Arc::new(VariantStore::new());
-        self.saturation_bases = Default::default();
-        self.memo.write().unwrap_or_else(|e| e.into_inner()).clear();
-        Ok(EditReport {
-            memo_dropped: dropped,
-            ..report
-        })
     }
 }
 
@@ -335,11 +311,14 @@ fn call_descendants(sdg: &Sdg, seeds: impl IntoIterator<Item = String>) -> BTree
 #[cfg(test)]
 mod tests {
     use crate::{Criterion, Direction, Slicer};
+    use specslice_lang::ProgramDelta;
+    use specslice_sdg::CallSiteId;
 
-    /// The full-rebuild fallback drops both saturation bases like the
-    /// patch path does; the next query of each direction rebuilds its base
-    /// over the new encoding and answers like a fresh session. A backward
-    /// all-contexts slice builds only the backward base.
+    /// When the SDG patch fails, the edit falls back to rebuilding every
+    /// procedure: the whole memo drops, both saturation bases drop like on
+    /// the patch path, and the next query of each direction rebuilds its
+    /// base over the new encoding and answers like a fresh session. A
+    /// backward all-contexts slice builds only the backward base.
     #[test]
     fn full_rebuild_drops_the_saturation_base() {
         const SRC: &str = r#"
@@ -357,9 +336,16 @@ mod tests {
         slicer.forward_slice(&all).unwrap();
         assert_eq!(builds(&slicer), [1, 1]);
 
-        let program = slicer.program().unwrap().clone();
-        let report = slicer.rebuild_for(program.clone()).unwrap();
-        assert!(report.full_rebuild);
+        // A hand-modified SDG: `main` gains a phantom call site, so the
+        // patch that copies `main` finds its call sites stale and fails.
+        let mut phantom = slicer.sdg.call_sites[0].clone();
+        phantom.id = CallSiteId(slicer.sdg.call_sites.len() as u32);
+        slicer.sdg.call_sites.push(phantom);
+        let edited = specslice_lang::frontend(&SRC.replace("g = a;", "g = a + 1;")).unwrap();
+        let delta = ProgramDelta::diff(slicer.program().unwrap(), &edited);
+        let report = slicer.apply_edit(&delta).unwrap();
+        assert!(report.full_rebuild, "{report:?}");
+        assert_eq!((report.memo_kept, report.memo_dropped), (0, 2));
         assert!(slicer.saturation_base(Direction::Backward).is_none());
         assert!(slicer.saturation_base(Direction::Forward).is_none());
         assert_eq!(builds(&slicer), [1, 1]);
@@ -369,7 +355,8 @@ mod tests {
         assert_eq!(builds(&slicer), [2, 1]);
         let forward = slicer.forward_slice(&all).unwrap();
         assert_eq!(builds(&slicer), [2, 2]);
-        let fresh = Slicer::from_program(program).unwrap();
+        let fresh = Slicer::from_program(slicer.program().unwrap().clone()).unwrap();
+        assert_eq!(slicer.sdg().call_sites.len(), fresh.sdg().call_sites.len());
         assert_eq!(
             format!("{again:?}"),
             format!("{:?}", fresh.slice(&all).unwrap())

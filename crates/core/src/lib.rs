@@ -97,8 +97,8 @@ pub mod store;
 pub use criteria::Criterion;
 pub use incremental::EditReport;
 pub use readout::{QueryKind, SpecSlice, VariantMeta, VariantPdg};
-pub use session_io::{MemoExport, MemoExportVariant, MemoKeyExport};
-pub use slicer::{BatchResult, ScratchStats, Slicer, SlicerConfig};
+pub use session_io::MemoExport;
+pub use slicer::{BatchResult, KeySelect, MemoKey, ScratchStats, Slicer, SlicerConfig};
 pub use specialize::{MergedFunction, SpecializedProgram};
 pub use store::{StoreStats, VariantId, VariantStore};
 // Batch slicing reports per-worker accounting in [`BatchResult::per_thread`];

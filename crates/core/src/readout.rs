@@ -17,7 +17,7 @@
 use crate::encode::Encoded;
 use crate::store::{VariantId, VariantStore};
 use crate::SpecError;
-use specslice_fsa::{is_reverse_deterministic, Nfa, StateId};
+use specslice_fsa::{Nfa, StateId};
 use specslice_sdg::{CallSiteId, CalleeKind, ProcId, Sdg, VertexId, VertexKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -436,6 +436,27 @@ pub fn read_out_with(
     read_out(sdg, enc, a6)
 }
 
+/// Reads a stored `A6` out again into a throwaway store: the one way a memo
+/// entry's cached rows are re-derived when the entry enters a session that
+/// did not compute it — migrated across an edit, or imported from a
+/// snapshot. A read-out that fails halfway strands no rows in the session
+/// store; the caller re-interns the result once it commits
+/// ([`SpecSlice::reintern_into`]).
+///
+/// # Errors
+///
+/// Every [`read_out_in`] failure: an `A6` that is not reverse-deterministic
+/// (Thm. 3.16: a computed one always is) and the Cor. 3.19 audit included.
+pub(crate) fn read_out_staged(
+    sdg: &Sdg,
+    enc: &Encoded,
+    a6: &Nfa,
+    kind: QueryKind,
+    scratch: &mut ReadoutScratch,
+) -> Result<SpecSlice, SpecError> {
+    read_out_in(sdg, enc, a6, kind, scratch, &Arc::new(VariantStore::new()))
+}
+
 /// [`read_out`] against caller-owned scratch buffers, an explicit target
 /// store, and an explicit query kind. The kind selects the validation
 /// applied (see [`QueryKind`]): full Cor. 3.19 equality for
@@ -459,7 +480,19 @@ pub(crate) fn read_out_in(
             kind,
         ));
     }
-    debug_assert!(is_reverse_deterministic(a6), "A6 must be MRD (Thm. 3.16)");
+    // `A6` must be reverse-deterministic (Thm. 3.16), which the read-out
+    // checks as it goes: one final state here; below, no ε, vertex labels
+    // only from the initial state, and no call site entering one caller
+    // state from two callee states.
+    if a6.finals().len() != 1 {
+        return Err(SpecError::internal(
+            "readout",
+            format!(
+                "A6 has {} final states; an MRD automaton has one (Thm. 3.16)",
+                a6.finals().len()
+            ),
+        ));
+    }
 
     scratch.reset(a6.state_count(), sdg.procs.len());
     let q0 = a6.initial();

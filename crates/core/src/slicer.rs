@@ -165,20 +165,38 @@ pub struct Slicer {
 /// first — so sorted exports list a session's backward entries before its
 /// forward ones.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct MemoKey {
+pub struct MemoKey {
     /// The query direction this entry answers.
-    pub(crate) dir: Direction,
+    pub dir: Direction,
     /// The criterion's canonical, order-independent selector.
-    pub(crate) select: KeySelect,
+    pub select: KeySelect,
 }
 
-/// The criterion component of a [`MemoKey`].
+/// The criterion component of a [`MemoKey`], in dense-id form.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) enum KeySelect {
+pub enum KeySelect {
     /// Sorted, deduplicated vertex ids of an all-contexts criterion.
     AllContexts(Vec<u32>),
     /// Sorted, deduplicated `(vertex, stack)` configurations.
     Configurations(Vec<(u32, Vec<u32>)>),
+}
+
+impl KeySelect {
+    /// The criterion this selector names.
+    pub(crate) fn criterion(&self) -> Criterion {
+        match self {
+            KeySelect::AllContexts(vs) => {
+                Criterion::AllContexts(vs.iter().map(|&v| VertexId(v)).collect())
+            }
+            KeySelect::Configurations(cs) => Criterion::Configurations(
+                cs.iter()
+                    .map(|(v, stack)| {
+                        (VertexId(*v), stack.iter().map(|&c| CallSiteId(c)).collect())
+                    })
+                    .collect(),
+            ),
+        }
+    }
 }
 
 /// A slice as the memo retains it: the interned content ids plus the
@@ -210,6 +228,17 @@ pub(crate) struct MemoEntry {
     pub(crate) a6: Nfa,
     pub(crate) cached: CachedSlice,
     pub(crate) stats: PipelineStats,
+}
+
+impl MemoEntry {
+    /// The entry for a slice read out into the session store.
+    pub(crate) fn of(slice: SpecSlice, stats: PipelineStats) -> MemoEntry {
+        MemoEntry {
+            cached: CachedSlice::of(&slice),
+            a6: slice.a6,
+            stats,
+        }
+    }
 }
 
 pub(crate) fn memo_key(dir: Direction, criterion: &Criterion) -> Option<MemoKey> {

@@ -34,18 +34,6 @@ pub struct SliceStats {
     pub closure_not_covered: BTreeSet<VertexId>,
 }
 
-impl SliceStats {
-    /// Percentage of extra (replicated) vertices relative to the closure
-    /// slice: `100 · (spec_total − closure) / closure` (Fig. 19's
-    /// "% increase").
-    pub fn percent_increase(&self) -> f64 {
-        if self.closure_size == 0 {
-            return 0.0;
-        }
-        100.0 * (self.spec_total as f64 - self.closure_size as f64) / self.closure_size as f64
-    }
-}
-
 /// Computes statistics for `slice` against the closure slice from
 /// `criterion_vertices` (the element-level criterion).
 pub fn slice_stats(sdg: &Sdg, slice: &SpecSlice, criterion_vertices: &[VertexId]) -> SliceStats {

@@ -482,17 +482,6 @@ pub struct MrdStats {
     pub mrd_transitions: usize,
 }
 
-impl MrdStats {
-    /// Fractional shrink achieved by minimization relative to the
-    /// determinized automaton (the paper reports 4.4%–34%).
-    pub fn minimize_shrink(&self) -> f64 {
-        if self.determinized_states == 0 {
-            return 0.0;
-        }
-        1.0 - self.minimized_states as f64 / self.determinized_states as f64
-    }
-}
-
 /// Renumbers a trim, ε-free, reverse-deterministic automaton into a
 /// presentation-independent canonical form.
 ///
@@ -836,7 +825,6 @@ mod tests {
     fn stats_report_shrink() {
         let (_, stats) = mrd_with_stats(&fig10_like());
         assert!(stats.minimized_states <= stats.determinized_states);
-        assert!(stats.minimize_shrink() >= 0.0);
     }
 
     #[test]

@@ -401,15 +401,6 @@ impl Program {
         next as usize
     }
 
-    /// Total number of statements (requires [`Program::renumber`] first).
-    pub fn stmt_count(&self) -> usize {
-        let mut n = 0;
-        for f in &self.functions {
-            f.body.visit(&mut |_| n += 1);
-        }
-        n
-    }
-
     /// Visits every statement together with the name of its enclosing
     /// function.
     pub fn visit_all<'a>(&'a self, mut f: impl FnMut(&'a str, &'a Stmt)) {
@@ -492,6 +483,5 @@ mod tests {
         let mut ids = Vec::new();
         p.functions[0].body.visit(&mut |s| ids.push(s.id.0));
         assert_eq!(ids, vec![0, 1, 2]);
-        assert_eq!(p.stmt_count(), 3);
     }
 }

@@ -23,11 +23,10 @@
 //! | `shutdown`           |                                     | `snapshots_written` |
 //!
 //! `apply_edit`'s `report` carries [`specslice::EditReport`]'s counters:
-//! `rebuilt_procs`, `reused_procs`, `rules_reused`, `rules_rebuilt`,
-//! `memo_kept`, `memo_dropped`, `full_rebuild`. `stats` with a `session`
-//! adds `session_stats`: `session`, `bytes`, `memo_len`, `memo_hits`,
-//! `queries_run`, `store_interned`, `store_row_bytes`, `warm`,
-//! `memo_imported`.
+//! `rebuilt_procs`, `reused_procs`, `memo_kept`, `memo_dropped`,
+//! `full_rebuild`. `stats` with a `session` adds `session_stats`:
+//! `session`, `bytes`, `memo_len`, `memo_hits`, `queries_run`,
+//! `store_interned`, `store_row_bytes`, `warm`, `memo_imported`.
 //!
 //! Query responses (`slice`, `slice_batch`, …) are **deterministic**: they
 //! carry no wall-clock, no memo-hit flags, and serialize through the
@@ -122,11 +121,6 @@ impl Handle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -605,8 +599,6 @@ fn op_apply_edit(state: &State, id: &Json, request: &Json) -> Result<Json, Json>
                         Json::arr(report.rebuilt_procs.iter().map(|p| Json::str(p.clone()))),
                     ),
                     ("reused_procs", Json::Int(report.reused_procs as i64)),
-                    ("rules_reused", Json::Int(report.rules_reused as i64)),
-                    ("rules_rebuilt", Json::Int(report.rules_rebuilt as i64)),
                     ("memo_kept", Json::Int(report.memo_kept as i64)),
                     ("memo_dropped", Json::Int(report.memo_dropped as i64)),
                     ("full_rebuild", Json::Bool(report.full_rebuild)),

@@ -13,10 +13,11 @@
 //!    LRU stamp and share it.
 //! 2. **snapshot** — `{snapshot_dir}/{key:016x}.snap` exists; build a fresh
 //!    [`Slicer`] from the source and import the snapshot's memo
-//!    ([`Slicer::import_memo`]). A rejected snapshot (truncated, corrupt,
-//!    wrong version, wrong program) degrades to a cold open and the
-//!    structured reason is reported in the `open` response — never an error,
-//!    never a panic.
+//!    ([`Slicer::import_memo`], which reads every entry's rows out of its
+//!    `A6` again). A rejected snapshot (truncated, corrupt, wrong version,
+//!    wrong program, or an entry whose key or `A6` fails the session's
+//!    checks) degrades to a cold open and the structured reason is
+//!    reported in the `open` response — never an error, never a panic.
 //! 3. **cold** — build a fresh session.
 //!
 //! After every open, sessions are evicted in LRU order while the summed

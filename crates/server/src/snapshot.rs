@@ -11,7 +11,7 @@
 //! key      := u64     content hash of the normalized source
 //! source   := u32 len, then len bytes of UTF-8 (normalized pretty-printed)
 //! entries  := u32 count, then count × entry
-//! entry    := memo-key nfa variants main stats
+//! entry    := memo-key nfa stats
 //! memo-key := tag body
 //! tag      := 0x00 | 0x01   -- backward entry (all-contexts | configurations)
 //!           | 0x02 | 0x03   -- forward entry  (all-contexts | configurations)
@@ -21,15 +21,13 @@
 //!             u32 n_finals (u32 state)×n_finals
 //!             u32 n_trans  (u32 from, u32 label, u32 to)×n_trans
 //!             -- label 0 is ε; label k>0 encodes Symbol(k-1)
-//! variants := u32 count, then count ×
-//!             (u32 proc, str name, u32 n_calls (u32 site, u32 callee)×n,
-//!              u32 state, u32 row_len (u32 vertex)×row_len)
-//! str      := u32 len, then len bytes of UTF-8
-//! main     := u32     variant index; 0xFFFF_FFFF encodes "no main variant"
 //! stats    := 18 × u64  (PipelineStats sizes + MrdStats + saturation
 //!             counter + per-direction memo counters + query µs)
 //! checksum := u64     FNV-1a over every preceding byte
 //! ```
+//!
+//! An entry carries no variant rows: they are read out of its `A6` again on
+//! import ([`specslice::Slicer::import_memo`]).
 //!
 //! Decoding is fully bounds-checked and returns structured
 //! [`SnapshotError`]s — a truncated, corrupted, or version-bumped file is
@@ -41,7 +39,7 @@
 
 use crate::json::Json;
 use crate::proto::{self, error_payload};
-use specslice::{Direction, MemoExport, MemoExportVariant, MemoKeyExport, PipelineStats};
+use specslice::{Direction, KeySelect, MemoExport, MemoKey, PipelineStats};
 use specslice_fsa::mrd::MrdStats;
 use specslice_fsa::{Nfa, StateId, Symbol};
 use std::fmt;
@@ -55,11 +53,9 @@ pub const MAGIC: &[u8; 8] = b"SSLSNAP\0";
 /// tagged memo keys with the saturation direction (forward entries use tags
 /// 0x02/0x03) and widened the stats block with the per-direction memo
 /// hit/miss counters; version 4 dropped `criteria_per_saturation` again
-/// (every saturation answers one criterion).
-pub const FORMAT_VERSION: u32 = 4;
-
-/// Sentinel for "no main variant".
-const NO_MAIN: u32 = u32::MAX;
+/// (every saturation answers one criterion); version 5 dropped each entry's
+/// variant rows and main-variant index (import reads them out of `A6`).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Why a snapshot file was rejected.
 #[derive(Debug)]
@@ -193,16 +189,16 @@ pub fn encode(key: u64, source: &str, entries: &[MemoExport]) -> Vec<u8> {
     e.str(source);
     e.u32(entries.len() as u32);
     for entry in entries {
-        let dir_tag = match entry.direction {
+        let dir_tag = match entry.key.dir {
             Direction::Backward => 0u8,
             Direction::Forward => 2u8,
         };
-        match &entry.key {
-            MemoKeyExport::AllContexts(vs) => {
+        match &entry.key.select {
+            KeySelect::AllContexts(vs) => {
                 e.buf.push(dir_tag);
                 e.u32_slice(vs);
             }
-            MemoKeyExport::Configurations(cs) => {
+            KeySelect::Configurations(cs) => {
                 e.buf.push(dir_tag | 1);
                 e.u32(cs.len() as u32);
                 for (v, stack) in cs {
@@ -212,19 +208,6 @@ pub fn encode(key: u64, source: &str, entries: &[MemoExport]) -> Vec<u8> {
             }
         }
         encode_nfa(&mut e, &entry.a6);
-        e.u32(entry.variants.len() as u32);
-        for v in &entry.variants {
-            e.u32(v.proc);
-            e.str(&v.name);
-            e.u32(v.calls.len() as u32);
-            for &(site, callee) in &v.calls {
-                e.u32(site);
-                e.u32(callee);
-            }
-            e.u32(v.state);
-            e.u32_slice(&v.row);
-        }
-        e.u32(entry.main_variant.unwrap_or(NO_MAIN));
         encode_stats(&mut e, &entry.stats);
     }
     let checksum = fnv1a(&e.buf);
@@ -399,13 +382,13 @@ fn decode_entry(d: &mut Dec<'_>) -> Result<MemoExport, SnapshotError> {
             "unknown memo-key tag {tag}"
         )));
     }
-    let direction = if tag & 2 == 0 {
+    let dir = if tag & 2 == 0 {
         Direction::Backward
     } else {
         Direction::Forward
     };
-    let key = if tag & 1 == 0 {
-        MemoKeyExport::AllContexts(d.u32_vec("all-contexts key")?)
+    let select = if tag & 1 == 0 {
+        KeySelect::AllContexts(d.u32_vec("all-contexts key")?)
     } else {
         let n = d.count("configurations key", 8)?;
         let mut cs = Vec::with_capacity(n);
@@ -414,42 +397,13 @@ fn decode_entry(d: &mut Dec<'_>) -> Result<MemoExport, SnapshotError> {
             let stack = d.u32_vec("configuration stack")?;
             cs.push((v, stack));
         }
-        MemoKeyExport::Configurations(cs)
+        KeySelect::Configurations(cs)
     };
     let a6 = decode_nfa(d)?;
-    let n_variants = d.count("variant count", 20)?;
-    let mut variants = Vec::with_capacity(n_variants);
-    for _ in 0..n_variants {
-        let proc = d.u32("variant proc")?;
-        let name = d.str("variant name")?;
-        let n_calls = d.count("variant call count", 8)?;
-        let mut calls = Vec::with_capacity(n_calls);
-        for _ in 0..n_calls {
-            let site = d.u32("call site")?;
-            let callee = d.u32("callee index")?;
-            calls.push((site, callee));
-        }
-        let state = d.u32("variant state")?;
-        let row = d.u32_vec("variant row")?;
-        variants.push(MemoExportVariant {
-            proc,
-            name,
-            calls,
-            state,
-            row,
-        });
-    }
-    let main_variant = match d.u32("main variant")? {
-        NO_MAIN => None,
-        m => Some(m),
-    };
     let stats = decode_stats(d)?;
     Ok(MemoExport {
-        direction,
-        key,
+        key: MemoKey { dir, select },
         a6,
-        variants,
-        main_variant,
         stats,
     })
 }
@@ -596,17 +550,11 @@ mod tests {
         a6.add_transition(q1, None, q1);
         a6.set_final(q1);
         let backward = MemoExport {
-            direction: Direction::Backward,
-            key: MemoKeyExport::AllContexts(vec![1, 4, 7]),
+            key: MemoKey {
+                dir: Direction::Backward,
+                select: KeySelect::AllContexts(vec![1, 4, 7]),
+            },
             a6,
-            variants: vec![MemoExportVariant {
-                proc: 0,
-                name: "main".to_string(),
-                calls: vec![(0, 1), (2, 0)],
-                state: 1,
-                row: vec![1, 4, 7],
-            }],
-            main_variant: Some(0),
             stats: PipelineStats {
                 pds_rules: 10,
                 saturation_transitions: 20,
@@ -633,11 +581,11 @@ mod tests {
         // A forward entry with the same select shape (tag 0x02 must not
         // collide with tag 0x00) plus a forward configurations key (0x03).
         let mut forward = backward.clone();
-        forward.direction = Direction::Forward;
+        forward.key.dir = Direction::Forward;
         forward.stats.memo_misses_backward = 0;
         forward.stats.memo_misses_forward = 1;
         let mut forward_cfg = forward.clone();
-        forward_cfg.key = MemoKeyExport::Configurations(vec![(1, vec![0, 2]), (4, vec![])]);
+        forward_cfg.key.select = KeySelect::Configurations(vec![(1, vec![0, 2]), (4, vec![])]);
         vec![backward, forward, forward_cfg]
     }
 
@@ -650,20 +598,17 @@ mod tests {
         assert_eq!(snap.source, "int main() { return 0; }");
         assert_eq!(snap.entries.len(), 3);
         let e = &snap.entries[0];
-        assert_eq!(e.direction, Direction::Backward);
-        assert_eq!(e.key, entries[0].key);
-        assert_eq!(snap.entries[1].direction, Direction::Forward);
-        assert_eq!(snap.entries[1].key, entries[0].key);
-        assert_eq!(snap.entries[2].direction, Direction::Forward);
-        assert_eq!(snap.entries[2].key, entries[2].key);
+        assert_eq!(e.key.dir, Direction::Backward);
+        for (got, want) in snap.entries.iter().zip(&entries) {
+            assert_eq!(got.key, want.key);
+        }
+        assert_eq!(snap.entries[1].key.select, entries[0].key.select);
+        assert_eq!(snap.entries[2].key.dir, Direction::Forward);
         assert_eq!(e.stats.memo_misses_backward, 1);
         assert_eq!(snap.entries[1].stats.memo_misses_forward, 1);
         assert_eq!(e.a6.state_count(), 2);
         assert!(e.a6.has_transition(StateId(0), Some(Symbol(3)), StateId(1)));
         assert!(e.a6.has_transition(StateId(1), None, StateId(1)));
-        assert_eq!(e.variants[0].name, "main");
-        assert_eq!(e.variants[0].row, vec![1, 4, 7]);
-        assert_eq!(e.main_variant, Some(0));
         assert_eq!(e.stats.query_time, Duration::from_micros(1234));
         // Re-encoding the decoded snapshot is byte-identical.
         assert_eq!(encode(snap.key, &snap.source, &snap.entries), image);
@@ -705,14 +650,19 @@ mod tests {
 
     #[test]
     fn committed_v2_snapshot_is_rejected_as_unsupported_version() {
-        // A genuine version-2 snapshot written by the previous format
-        // revision. The version check runs before the checksum and key
-        // checks, so a current reader reports the structured version error —
-        // which the session manager degrades to a cold open.
-        let image = include_bytes!("../tests/fixtures/v2.snap");
+        // Genuine snapshots written by earlier format revisions. The
+        // version check runs before the checksum and key checks, so a
+        // current reader reports the structured version error — which the
+        // session manager degrades to a cold open.
+        let v2 = include_bytes!("../tests/fixtures/v2.snap");
         assert!(matches!(
-            decode(image),
+            decode(v2),
             Err(SnapshotError::UnsupportedVersion { found: 2 })
+        ));
+        let v4 = include_bytes!("../tests/fixtures/v4.snap");
+        assert!(matches!(
+            decode(v4),
+            Err(SnapshotError::UnsupportedVersion { found: 4 })
         ));
     }
 

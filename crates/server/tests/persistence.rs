@@ -1,10 +1,12 @@
 //! End-to-end persistence: snapshot → restart → query (single queries and
 //! parallel batches) must round-trip byte-identically, eviction-triggered
 //! snapshots must warm later opens, and damaged snapshot files (truncated,
-//! corrupt, version-bumped) must degrade to structured cold opens — never
-//! an error, never a panic.
+//! corrupt, version-bumped, or checksum-valid with an entry a query could
+//! not have produced) must degrade to structured cold opens — never an
+//! error, never a panic.
 
-use specslice_server::{serve, Bind, Client, Json, ServerConfig};
+use specslice::{KeySelect, MemoExport};
+use specslice_server::{serve, snapshot, Bind, Client, Json, ServerConfig};
 use std::path::{Path, PathBuf};
 
 const PROGRAM: &str = r#"
@@ -315,14 +317,78 @@ fn version_bumped_snapshot_degrades_to_cold_open() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot written by the previous (version 2) format revision — the
-/// committed fixture, not a synthesized version byte — is reported as a
-/// structured version error and the open degrades cold.
+/// Snapshots written by earlier format revisions (version 2, and version 4,
+/// which still carried each entry's variant rows) — committed fixtures, not
+/// a synthesized version byte — are reported as structured version errors
+/// and the open degrades cold.
 #[test]
 fn committed_v2_snapshot_degrades_to_cold_open() {
     let (dir, path, _) = good_snapshot("v2-fixture");
-    std::fs::write(&path, include_bytes!("fixtures/v2.snap")).unwrap();
-    assert_degrades(&dir, "version 2");
+    let fixtures: [(&[u8], &str); 2] = [
+        (include_bytes!("fixtures/v2.snap"), "version 2"),
+        (include_bytes!("fixtures/v4.snap"), "version 4"),
+    ];
+    for (image, needle) in fixtures {
+        std::fs::write(&path, image).unwrap();
+        assert_degrades(&dir, needle);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the good snapshot's only memo entry through `tamper` and
+/// re-encodes it with a valid checksum, so only `import_memo`'s own checks
+/// can reject it.
+fn tampered_snapshot(tag: &str, tamper: impl FnOnce(&mut MemoExport)) -> PathBuf {
+    let (dir, path, bytes) = good_snapshot(tag);
+    let mut snap = snapshot::decode(&bytes).unwrap();
+    assert_eq!(snap.entries.len(), 1);
+    tamper(&mut snap.entries[0]);
+    std::fs::write(
+        &path,
+        snapshot::encode(snap.key, &snap.source, &snap.entries),
+    )
+    .unwrap();
+    dir
+}
+
+/// A checksum-valid entry whose key is an in-range configuration with an
+/// unrealizable stack (a `main` vertex under a call site, but nothing calls
+/// `main`) is rejected by the criterion checks a query runs.
+#[test]
+fn unrealizable_key_snapshot_degrades_to_cold_open() {
+    let dir = tampered_snapshot("unrealizable", |entry| {
+        let KeySelect::AllContexts(vs) = &entry.key.select else {
+            panic!("printf criterion is all-contexts: {:?}", entry.key);
+        };
+        entry.key.select = KeySelect::Configurations(vec![(vs[0], vec![0])]);
+    });
+    assert_degrades(&dir, "does not call `main`");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checksum-valid entry whose `A6` is not reverse-deterministic — a
+/// second state reading a call site into an existing call transition's
+/// target, or a second final state — is rejected by the read-out.
+#[test]
+fn non_mrd_automaton_snapshot_degrades_to_cold_open() {
+    let dir = tampered_snapshot("non-mrd", |entry| {
+        let initial = entry.a6.initial();
+        let (_, site, to) = entry
+            .a6
+            .transitions()
+            .find(|&(from, _, _)| from != initial)
+            .expect("the printf slice crosses a call");
+        let extra = entry.a6.add_state();
+        entry.a6.add_transition(extra, site, to);
+    });
+    assert_degrades(&dir, "reverse determinism violated");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = tampered_snapshot("two-finals", |entry| {
+        let extra = entry.a6.add_state();
+        entry.a6.set_final(extra);
+    });
+    assert_degrades(&dir, "2 final states");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
